@@ -3,7 +3,9 @@
 One JSON record per key.  Values are exact rationals stored as two decimal
 integer strings, so records survive any JSON number handling.  Writes go to
 a temp file in the same directory and are renamed into place, which keeps
-concurrent runs from ever reading a half-written record.
+concurrent runs from ever reading a half-written record.  The key carries
+the integrand schema, so a record from an older integrand is a miss and
+gets recomputed, never served.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from pathlib import Path
 __all__ = ["ResidueCache", "default_cache_dir"]
 
 ENV_VAR = "VSC_CACHE"
+# Bump whenever a graph integrand in elliptic.py changes the value it yields.
+SCHEMA = 1
 
 
 def default_cache_dir() -> Path:
@@ -42,7 +46,7 @@ class ResidueCache:
         self.misses = 0
 
     def _key(self, N: int, k: int, d: int, graph: str, ins: str) -> dict:
-        return {"N": N, "k": k, "d": d, "graph": graph, "ins": ins}
+        return {"schema": SCHEMA, "N": N, "k": k, "d": d, "graph": graph, "ins": ins}
 
     def get(self, N: int, k: int, d: int, graph: str, ins: str) -> Fraction | None:
         key = self._key(N, k, d, graph, ins)

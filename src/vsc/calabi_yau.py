@@ -15,12 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .elliptic import graph_residue
+# graph_residue and parallel_map are unused here; perfbench/tracer.py wraps
+# them under this module's names.
+from .elliptic import graph_residue, graph_values  # noqa: F401
 from .genus0 import genus0_constant
 from .graphs import (ClusterStarGraph, LoopGraph, PointGraph, StarGraph,
                      graphs_of_degree, ordered_partitions)
 from .hypersurface import Hypersurface
-from .parallel import parallel_map
+from .parallel import parallel_map  # noqa: F401
 from .series import TruncatedSeries
 
 __all__ = ["ltilde", "ltilde_zero_closed", "alternating_two_point_sum",
@@ -97,31 +99,13 @@ def family_series(k: int, q_cap: int, family: str, cache=None,
     """Sum of graph residues of one family per degree, as a q-series."""
     _check_cy(k)
     cls = FAMILIES[family]
-    terms = {}
-    for d in range(1, q_cap + 1):
-        vals, jobs = [], []
-        for graph in graphs_of_degree(d):
-            if not isinstance(graph, cls):
-                continue
-            hit = cache.get(k, k, d, graph.label(), "") if cache is not None else None
-            if hit is not None:
-                vals.append(hit)
-            else:
-                jobs.append(graph)
-        for graph, val in zip(jobs, parallel_map(_residue_job,
-                                                 [(k, g) for g in jobs], workers)):
-            if cache is not None:
-                cache.put(k, k, d, graph.label(), "", val)
-            vals.append(val)
-        total = sum(vals, Fraction(0))
-        if total:
-            terms[(d, ())] = total
+    graphs = [g for d in range(1, q_cap + 1) for g in graphs_of_degree(d)
+              if isinstance(g, cls)]
+    values = graph_values(k, k, [(g, ()) for g in graphs], cache, workers)
+    terms: dict = {}
+    for graph, val in zip(graphs, values):
+        terms[(graph.degree, ())] = terms.get((graph.degree, ()), 0) + val
     return TruncatedSeries(0, q_cap, terms)
-
-
-def _residue_job(args):
-    k, g = args
-    return graph_residue(k, k, g, ())
 
 
 def bcov_zinger_series(k: int, q_cap: int) -> TruncatedSeries:
@@ -198,7 +182,8 @@ def cy_report(k: int, q_cap: int, cache=None, workers: int = 1) -> CyReport:
     """Compute every series entering the genus-1 identities of M_k^k."""
     _check_cy(k)
     l0 = ltilde(k, 0, q_cap)
-    assert l0 == ltilde_zero_closed(k, q_cap)
+    if l0 != ltilde_zero_closed(k, q_cap):
+        raise RuntimeError("Ltilde_0 differs from its closed form")
     l1 = ltilde(k, 1, q_cap)
     loops = family_series(k, q_cap, "loop", cache, workers)
     lhs = loops + dilog_integral(k, q_cap).scale(Fraction(k * k - 1, 24 * k))

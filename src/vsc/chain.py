@@ -47,7 +47,7 @@ def residue_chain(
     steps: (variable, mode) in elimination order, mode one of "zero", "both",
     "root".  designated maps a variable to its designated denominator factor
     in the original coordinates; factors are evolved through every
-    substitution as the chain descends.  Homogeneity is asserted after each
+    substitution as the chain descends.  Homogeneity is checked after each
     residue (each step raises the degree of a homogeneous expression by
     exactly one).
     """
@@ -76,7 +76,8 @@ def residue_chain(
                 if stats is not None:
                     stats["pruned"] = stats.get("pruned", 0) + 1
                 continue
-            assert res.homogeneous_degree() == deg + 1, "residue must raise degree by 1"
+            if res.homogeneous_degree() != deg + 1:
+                raise RuntimeError("residue must raise the homogeneous degree by 1")
             evolved = {u: p.substitute(v, root) for u, p in pending.items() if u != v}
             total += walk(res, pos + 1, evolved, deg + 1)
         return total

@@ -128,21 +128,20 @@ def _cmd_bcov(args):
         ("graph sum", report.graph_sum),
         ("BCOV-Zinger form", report.bcov),
     ]
+    checks = report.identities() if args.check else {}
     if args.format == "json":
         out = {name: series.to_json() for name, series in named}
         if args.check:
-            out["identities"] = report.identities()
+            out["identities"] = checks
         print(json.dumps(out, indent=2))
     else:
         for name, series in named:
             print(f"{name}: {_series_str(series)}")
-        if args.check:
-            checks = report.identities()
-            for name, ok in checks.items():
-                print(("ok: " if ok else "FAILED: ") + name)
-            if all(checks.values()):
-                print("all identities hold")
-    if args.check and not all(report.identities().values()):
+        for name, ok in checks.items():
+            print(("ok: " if ok else "FAILED: ") + name)
+        if args.check and all(checks.values()):
+            print("all identities hold")
+    if not all(checks.values()):
         raise SystemExit(1)
 
 

@@ -35,21 +35,20 @@ from .graphs import (
     r_factor,
     sym_factor,
 )
-from .hypersurface import Hypersurface, ins_key
+from .hypersurface import Hypersurface, format_insertions, ins_key
 from .parallel import parallel_map
 from .poly import SparsePoly, linear_form
 from .ratfun import RatExpr
 
-__all__ = ["elliptic_constant", "graph_residue"]
+__all__ = ["elliptic_constant", "graph_residue", "graph_values"]
 
 InsT = tuple[tuple[int, int], ...]
 
 
-def _accumulated_form(parts: dict[int, int] | list[tuple[int, int]], n: int) -> SparsePoly:
+def _accumulated_form(parts: list[tuple[int, int]], n: int) -> SparsePoly:
     # linear form with repeated indices accumulated (cyclic layouts need this)
     coeffs: dict[int, int] = {}
-    items = parts.items() if isinstance(parts, dict) else parts
-    for v, c in items:
+    for v, c in parts:
         coeffs[v] = coeffs.get(v, 0) + c
     return linear_form({v: c for v, c in coeffs.items() if c}, n)
 
@@ -201,6 +200,27 @@ def _job(args):
     return graph_residue(N, k, graph, ins_t)
 
 
+def graph_values(N: int, k: int, jobs: list[tuple[Graph, InsT]],
+                 cache: ResidueCache | None = None,
+                 workers: int = 1) -> list[Fraction]:
+    """Residue values of (graph, p >= 2 insertions) jobs, in job order.
+
+    The only place graph residues meet the cache and the process pool:
+    cached values are read first, the misses run in one parallel_map call,
+    so a whole table shares one pool, and are written back.
+    """
+    keys = [(graph.degree, graph.label(), format_insertions(dict(ins_t)))
+            for graph, ins_t in jobs]
+    values = [cache.get(N, k, *key) if cache is not None else None for key in keys]
+    misses = [i for i, value in enumerate(values) if value is None]
+    computed = parallel_map(_job, [(N, k, *jobs[i]) for i in misses], workers)
+    for i, value in zip(misses, computed):
+        values[i] = value
+        if cache is not None:
+            cache.put(N, k, *keys[i], value)
+    return values
+
+
 def elliptic_constant(N: int, k: int, d: int,
                       ins: dict[int, int] | None = None,
                       cache: ResidueCache | None = None,
@@ -221,22 +241,5 @@ def elliptic_constant(N: int, k: int, d: int,
     mult = Fraction(d) ** ins.pop(1, 0)
     if not X.genus1_selection(d, ins):
         return Fraction(0)
-    ins_t = ins_key(ins)
-    graphs = graphs_of_degree(d)
-    ins_str = ",".join(f"{p}:{m}" for p, m in ins_t)
-    values: list[Fraction | None] = [None] * len(graphs)
-    jobs, slots = [], []
-    for i, graph in enumerate(graphs):
-        if cache is not None:
-            hit = cache.get(N, k, d, graph.label(), ins_str)
-            if hit is not None:
-                values[i] = hit
-                continue
-        jobs.append((N, k, graph, ins_t))
-        slots.append(i)
-    for i, value in zip(slots, parallel_map(_job, jobs, workers)):
-        values[i] = value
-        if cache is not None:
-            graph = graphs[i]
-            cache.put(N, k, d, graph.label(), ins_str, value)
-    return mult * sum(values, Fraction(0))
+    jobs = [(graph, ins_key(ins)) for graph in graphs_of_degree(d)]
+    return mult * sum(graph_values(N, k, jobs, cache, workers), Fraction(0))

@@ -25,7 +25,7 @@ from .hypersurface import Hypersurface, ins_count, ins_key
 from .poly import SparsePoly, linear_form
 from .ratfun import RatExpr
 
-__all__ = ["e_poly", "w_poly", "genus0_constant", "two_point_constant"]
+__all__ = ["e_poly", "w_poly", "genus0_constant"]
 
 
 def e_poly(k: int, u: int, v: int, nvars: int) -> SparsePoly:
@@ -83,14 +83,11 @@ def genus0_constant(N: int, k: int, d: int, a: int, b: int,
     return mult * _chain_value(N, k, d, a, b, ins_key(ins), order)
 
 
-def two_point_constant(N: int, k: int, d: int, a: int, b: int) -> Fraction:
-    return genus0_constant(N, k, d, a, b)
-
-
 @lru_cache(maxsize=None)
 def _chain_value(N, k, d, a, b, ins_t, order):
-    f, designated = _integrand(N, k, d, a, b, ins_t, literal_low=False)
-    assert f.homogeneous_degree() == -(d + 1)
+    f, designated = _integrand(N, k, d, a, b, ins_t)
+    if f.homogeneous_degree() != -(d + 1):
+        raise RuntimeError("genus-0 integrand has the wrong homogeneous degree")
     interior = [(i, "both") for i in range(1, d)]
     if order == "ascending":
         steps = [(0, "zero")] + interior + [(d, "zero")]
@@ -99,7 +96,7 @@ def _chain_value(N, k, d, a, b, ins_t, order):
     return residue_chain(f, steps, designated)
 
 
-def _integrand(N, k, d, a, b, ins_t, literal_low):
+def _integrand(N, k, d, a, b, ins_t):
     n = d + 1
     num = SparsePoly.constant(Fraction(1, k ** (d - 1)), n)
     den: list[tuple[SparsePoly, int]] = []
@@ -111,8 +108,6 @@ def _integrand(N, k, d, a, b, ins_t, literal_low):
     for j in range(1, d + 1):
         num = num * e_poly(k, j - 1, j, n)
     for p, m in ins_t:
-        if p <= 1 and not literal_low:
-            raise AssertionError("p <= 1 insertions must be handled analytically")
         s = SparsePoly.zero(n)
         for j in range(1, d + 1):
             s = s + w_poly(p, j - 1, j, n)
@@ -126,19 +121,3 @@ def _integrand(N, k, d, a, b, ins_t, literal_low):
         den.append((g, 1))
         designated[i] = g
     return RatExpr(num, den), designated
-
-
-def genus0_direct(N: int, k: int, d: int, a: int, b: int,
-                  ins: dict[int, int] | None = None) -> Fraction:
-    """Literal evaluation with p = 0, 1 insertions fed into the integrand.
-
-    Slow reference path used to validate the analytic handling in
-    genus0_constant; no selection-rule shortcut either.
-    """
-    Hypersurface(N, k)
-    if d < 1:
-        raise ValueError("need d >= 1")
-    ins_t = ins_key(ins)
-    f, designated = _integrand(N, k, d, a, b, ins_t, literal_low=True)
-    steps = [(0, "zero")] + [(i, "both") for i in range(1, d)] + [(d, "zero")]
-    return residue_chain(f, steps, designated)

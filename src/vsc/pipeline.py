@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .elliptic import elliptic_constant
+# elliptic_constant is unused here; perfbench/tracer.py wraps it under this name.
+from .elliptic import elliptic_constant, graph_values  # noqa: F401
 from .genus0 import genus0_constant
+from .graphs import graphs_of_degree
 from .hypersurface import Hypersurface, ins_key
 from .series import TruncatedSeries, substitute
 
@@ -90,7 +92,7 @@ def invert_corrections(corrections: dict[int, TruncatedSeries]) -> dict[int, Tru
 
     Needs one series for every coordinate that can appear on the right hand
     side, so the keys must be exactly 1..N-2.  Iterating D <- -C(t + D)
-    settles one q-order per pass; a final pass asserts the fixed point.
+    settles one q-order per pass; a final pass checks the fixed point.
     """
     sample = next(iter(corrections.values()))
     nblocks, q_cap = sample.nblocks, sample.q_cap
@@ -107,7 +109,8 @@ def invert_corrections(corrections: dict[int, TruncatedSeries]) -> dict[int, Tru
 
     for _ in range(q_cap):
         D = step(D)
-    assert step(D) == D
+    if step(D) != D:
+        raise RuntimeError("mirror map inversion did not reach its fixed point")
     return D
 
 
@@ -123,15 +126,23 @@ def genus1_b_series(N: int, k: int, q_cap: int, cache=None,
 
 
 def _genus1_b(N, k, q_cap, cache, workers):
-    nblocks = N - 3
-    terms, raw = {}, {}
-    for d in range(1, q_cap + 1):
-        for ins in weighted_insertions(N, (N - k) * d):
-            val = elliptic_constant(N, k, d, ins, cache=cache, workers=workers)
-            raw[(d, ins_key(ins))] = val
-            if val:
-                terms[(d, _exps(N, ins))] = val / _sym(ins)
-    return TruncatedSeries(nblocks, q_cap, terms), raw
+    # Every (d, insertion set) of the table already meets the selection rule
+    # and has no p <= 1 insertion, so its constant is the bare graph sum; all
+    # graph residues of the table go through one graph_values call.
+    Hypersurface(N, k)
+    sets = [(d, ins) for d in range(1, q_cap + 1)
+            for ins in weighted_insertions(N, (N - k) * d)]
+    jobs, owner = [], []
+    for i, (d, ins) in enumerate(sets):
+        for graph in graphs_of_degree(d):
+            jobs.append((graph, ins_key(ins)))
+            owner.append(i)
+    sums = [Fraction(0)] * len(sets)
+    for i, value in zip(owner, graph_values(N, k, jobs, cache, workers)):
+        sums[i] += value
+    terms = {(d, _exps(N, ins)): val / _sym(ins) for (d, ins), val in zip(sets, sums)}
+    raw = {(d, ins_key(ins)): val for (d, ins), val in zip(sets, sums)}
+    return TruncatedSeries(N - 3, q_cap, terms), raw
 
 
 def genus0_pair_series(N: int, k: int, q_cap: int, a: int, b: int) -> TruncatedSeries:

@@ -74,14 +74,6 @@ class SparsePoly:
                 return c
         raise ValueError("polynomial is not constant")
 
-    def vars_used(self) -> set[int]:
-        used: set[int] = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(i)
-        return used
-
     def degree_in(self, v: int) -> int:
         # degree of the zero polynomial is reported as -1
         return max((e[v] for e in self.terms), default=-1)

@@ -127,10 +127,7 @@ class RatExpr:
 
     __rmul__ = __mul__
 
-    def divided_by(self, f: SparsePoly, e: int = 1) -> RatExpr:
-        return RatExpr(self.num, self.den + ((f, e),))
-
-    # -- substitution, differentiation, residue -------------------------------
+    # -- substitution and residue ---------------------------------------------
 
     def substitute(self, v: int, value: SparsePoly) -> RatExpr:
         """Substitute v -> value; a denominator factor must not vanish identically."""
@@ -142,28 +139,6 @@ class RatExpr:
                     "substitution makes a denominator factor vanish identically")
             den.append((fs, e))
         return RatExpr(self.num.substitute(v, value), den)
-
-    def derivative(self, v: int) -> RatExpr:
-        """d/dv by the quotient rule, denominator kept factored."""
-        vfac = [(f, e) for f, e in self.den if f.degree_in(v) > 0]
-        rest = [(f, e) for f, e in self.den if f.degree_in(v) <= 0]
-        dnum = self.num.derivative(v)
-        if not vfac:
-            return RatExpr(dnum, self.den)
-        n = self.nvars
-        prod_all = SparsePoly.constant(1, n)
-        for f, _ in vfac:
-            prod_all = prod_all * f
-        s = SparsePoly.zero(n)
-        for i, (f, e) in enumerate(vfac):
-            part = f.derivative(v).scale(e)
-            for j, (g, _) in enumerate(vfac):
-                if j != i:
-                    part = part * g
-            s = s + part
-        new_num = dnum * prod_all - self.num * s
-        new_den = rest + [(f, e + 1) for f, e in vfac]
-        return RatExpr(new_num, new_den).reduce()
 
     def residue_at(self, v: int, root: SparsePoly) -> RatExpr:
         """Residue in v at v = root; zero when no denominator factor vanishes."""
@@ -246,15 +221,6 @@ class RatExpr:
             if e:
                 den.append((f, e))
         return RatExpr(num, den)
-
-    def expanded_den(self) -> SparsePoly:
-        out = SparsePoly.constant(1, self.nvars)
-        for f, e in self.den:
-            out = out * f ** e
-        return out
-
-    def equals(self, other: RatExpr) -> bool:
-        return (self.num * other.expanded_den()) == (other.num * self.expanded_den())
 
     def homogeneous_degree(self) -> int:
         """Degree of a homogeneous expression; raises if any part is inhomogeneous."""

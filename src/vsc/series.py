@@ -123,9 +123,6 @@ class TruncatedSeries:
             n >>= 1
         return out
 
-    def truncated(self, q_cap: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.nblocks, q_cap, self.terms)
-
     def exp(self) -> "TruncatedSeries":
         if self.min_q_degree() == 0:
             raise ValueError("exp needs a series with no q^0 part")

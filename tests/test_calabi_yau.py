@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import vsc
 
 from vsc.calabi_yau import (alternating_two_point_sum, bcov_zinger_series,
                             cy_report, dilog_integral, family_series,
@@ -95,3 +101,30 @@ def test_family_series_uses_cache(tmp_path):
 def test_bcov_zinger_series_is_graph_sum():
     r = cy_report(5, 2)
     assert bcov_zinger_series(5, 2) == r.graph_sum
+
+
+def test_family_series_pool_matches_serial():
+    assert family_series(5, 3, "star", workers=2) == family_series(5, 3, "star")
+
+
+def test_ltilde_zero_check_survives_optimize():
+    # a wrong Ltilde_0 must stop cy_report even when asserts are compiled out
+    script = """
+import sys
+import vsc.calabi_yau as cy
+from vsc.series import TruncatedSeries
+if not sys.flags.optimize:
+    sys.exit(2)
+cy.ltilde_zero_closed = lambda k, q_cap: TruncatedSeries.constant(1, 0, q_cap)
+try:
+    cy.cy_report(5, 2)
+except RuntimeError:
+    sys.exit(0)
+sys.exit(1)
+"""
+    src = str(Path(vsc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -126,6 +126,23 @@ def test_cache_ignores_corrupt_record(tmp_path):
     assert elliptic_constant(4, 1, 1, {2: 3}, cache=cache) == Fraction(-3, 8)
 
 
+def test_cache_never_serves_another_schema(tmp_path, monkeypatch):
+    import vsc.cache
+
+    cache = ResidueCache(tmp_path)
+    for graph in ("star(1)", "point(1)"):
+        cache.put(4, 1, 1, graph, "2:3", Fraction(100))
+    # under the schema they were written with, the records are served as is
+    assert elliptic_constant(4, 1, 1, {2: 3}, cache=cache) == 200
+    monkeypatch.setattr(vsc.cache, "SCHEMA", vsc.cache.SCHEMA + 1)
+    hits, misses = cache.hits, cache.misses
+    assert elliptic_constant(4, 1, 1, {2: 3}, cache=cache) == Fraction(-3, 8)
+    assert (cache.hits, cache.misses) == (hits, misses + 2)
+    # the recomputed values were written back under the new schema
+    assert elliptic_constant(4, 1, 1, {2: 3}, cache=cache) == Fraction(-3, 8)
+    assert cache.hits == hits + 2
+
+
 def test_validation():
     with pytest.raises(ValueError):
         elliptic_constant(4, 1, 0, {2: 3})

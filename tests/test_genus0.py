@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from vsc.chain import residue_chain, root_in_var
-from vsc.genus0 import e_poly, genus0_constant, genus0_direct, two_point_constant, w_poly
+from vsc.genus0 import e_poly, genus0_constant, w_poly
 from vsc.poly import SparsePoly
+
+from oracles import genus0_direct
 
 F = Fraction
 
@@ -61,7 +63,7 @@ def test_quintic_three_point_with_negative_slot():
 
 
 def test_quintic_two_point_3850():
-    assert two_point_constant(5, 5, 1, 2, 0) == 3850
+    assert genus0_constant(5, 5, 1, 2, 0) == 3850
 
 
 def test_cubic_surface_two_point():
@@ -104,7 +106,7 @@ def test_descending_order_agrees():
 
 def test_branch_count_matches_two_to_the_d_minus_one():
     from vsc.genus0 import _integrand
-    f, des = _integrand(4, 1, 3, 1, 0, ((2, 9),), literal_low=False)
+    f, des = _integrand(4, 1, 3, 1, 0, ((2, 9),))
     stats = {}
     steps = [(0, "zero"), (1, "both"), (2, "both"), (3, "zero")]
     val = residue_chain(f, steps, des, stats=stats)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from vsc import RatExpr, SparsePoly, linear_form
 from vsc.ratfun import NonLinearPoleError
 
+from oracles import derivative, equals
+
 F = Fraction
 
 
@@ -170,10 +172,10 @@ def test_residue_matches_derivative_formula():
     f = RatExpr(num, [(w - y, 3), (w + z, 1), (z, 2)])
     got = f.residue_at(0, y)
     stripped = RatExpr(num, [(w + z, 1), (z, 2)])
-    manual = stripped.derivative(0).derivative(0)
+    manual = derivative(derivative(stripped, 0), 0)
     manual = RatExpr(manual.num.substitute(0, y),
                      [(g.substitute(0, y), e) for g, e in manual.den]) * F(1, 2)
-    assert got.equals(manual)
+    assert equals(got, manual)
 
 
 def test_residue_rejects_nonlinear_vanishing_factor():
@@ -234,4 +236,4 @@ def test_residue_commutes_with_disjoint_substitution():
     f = RatExpr(w * w * y + z ** 3, [(w - z, 2), (y + z, 1)])
     r_then_s = f.residue_at(0, z).substitute(1, 2 * z)
     s_then_r = f.substitute(1, 2 * z).residue_at(0, z)
-    assert r_then_s.equals(s_then_r)
+    assert equals(r_then_s, s_then_r)

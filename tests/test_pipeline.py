@@ -168,3 +168,18 @@ def test_gw_table_validation():
         gw_table(6, 1, 1)
     with pytest.raises(ValueError):
         gw_table(5, 5, 1)
+
+
+def test_gw_table_runs_on_one_pool(monkeypatch):
+    import vsc.parallel
+
+    starts = []
+
+    class CountingPool(vsc.parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(vsc.parallel, "ProcessPoolExecutor", CountingPool)
+    assert gw_table(4, 1, 3, workers=2) == gw_table(4, 1, 3)
+    assert starts == [2]
