@@ -94,18 +94,24 @@ def dilog_integral(k: int, q_cap: int) -> TruncatedSeries:
     return TruncatedSeries(0, q_cap, terms)
 
 
+def _family_sums(k: int, q_cap: int, families, cache=None,
+                 workers: int = 1) -> dict[str, TruncatedSeries]:
+    """Per-family q-series of graph residue sums, from one graph_values call."""
+    _check_cy(k)
+    graphs = [(family, g) for d in range(1, q_cap + 1) for g in graphs_of_degree(d)
+              for family in families if isinstance(g, FAMILIES[family])]
+    values = graph_values(k, k, [(g, ()) for _, g in graphs], cache, workers)
+    terms: dict[str, dict] = {family: {} for family in families}
+    for (family, graph), val in zip(graphs, values):
+        t = terms[family]
+        t[(graph.degree, ())] = t.get((graph.degree, ()), 0) + val
+    return {family: TruncatedSeries(0, q_cap, t) for family, t in terms.items()}
+
+
 def family_series(k: int, q_cap: int, family: str, cache=None,
                   workers: int = 1) -> TruncatedSeries:
     """Sum of graph residues of one family per degree, as a q-series."""
-    _check_cy(k)
-    cls = FAMILIES[family]
-    graphs = [g for d in range(1, q_cap + 1) for g in graphs_of_degree(d)
-              if isinstance(g, cls)]
-    values = graph_values(k, k, [(g, ()) for g in graphs], cache, workers)
-    terms: dict = {}
-    for graph, val in zip(graphs, values):
-        terms[(graph.degree, ())] = terms.get((graph.degree, ()), 0) + val
-    return TruncatedSeries(0, q_cap, terms)
+    return _family_sums(k, q_cap, (family,), cache, workers)[family]
 
 
 def bcov_zinger_series(k: int, q_cap: int) -> TruncatedSeries:
@@ -185,8 +191,8 @@ def cy_report(k: int, q_cap: int, cache=None, workers: int = 1) -> CyReport:
     if l0 != ltilde_zero_closed(k, q_cap):
         raise RuntimeError("Ltilde_0 differs from its closed form")
     l1 = ltilde(k, 1, q_cap)
-    loops = family_series(k, q_cap, "loop", cache, workers)
-    lhs = loops + dilog_integral(k, q_cap).scale(Fraction(k * k - 1, 24 * k))
+    sums = _family_sums(k, q_cap, tuple(FAMILIES), cache, workers)
+    lhs = sums["loop"] + dilog_integral(k, q_cap).scale(Fraction(k * k - 1, 24 * k))
     if k % 2 == 0:
         lhs = lhs + log_one_minus(k, q_cap).scale(Fraction(-1, 16))
     rhs = TruncatedSeries.zero(0, q_cap)
@@ -195,9 +201,7 @@ def cy_report(k: int, q_cap: int, cache=None, workers: int = 1) -> CyReport:
         rhs = rhs - lp.log().scale(weight)
     return CyReport(
         k=k, q_cap=q_cap, l0=l0, l1=l1,
-        stars=family_series(k, q_cap, "star", cache, workers),
-        loops=loops,
-        clusters=family_series(k, q_cap, "cluster", cache, workers),
-        points=family_series(k, q_cap, "point", cache, workers),
+        stars=sums["star"], loops=sums["loop"], clusters=sums["cluster"],
+        points=sums["point"],
         lhs=lhs, rhs=rhs,
         bcov=bcov_zinger_series(k, q_cap))

@@ -29,11 +29,10 @@ def root_in_var(form: SparsePoly, v: int) -> SparsePoly | None:
         return None
     if form.degree_in(v) > 1:
         raise ValueError(f"designated factor {form!r} is nonlinear in x{v}")
-    cv = form.derivative(v)
+    at_zero, cv = form.shift_eps(v, SparsePoly.zero(form.nvars), 2)
     if not cv.is_constant():
         raise ValueError(f"designated factor {form!r} has nonconstant x{v} coefficient")
-    c = cv.constant_value()
-    return (form.subst_zero(v)).scale(Fraction(-1) / c)
+    return at_zero.scale(Fraction(-1) / cv.constant_value())
 
 
 def residue_chain(

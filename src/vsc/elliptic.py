@@ -107,7 +107,7 @@ def _star_terms(N: int, k: int, sigma: tuple[int, ...], ins_t: InsT):
     num = _tail_pieces(k, N, n, core, tails, num, den, designated, steps)
     for a, m in ins_t:
         num = num * _tail_insertion_sum(a, k, n, core, tails) ** m
-    return [(RatExpr(num, den).reduce(), steps, designated)]
+    return [(RatExpr(num, den), steps, designated)]
 
 
 def _loop_terms(N: int, k: int, d: int, ins_t: InsT):
@@ -130,7 +130,7 @@ def _loop_terms(N: int, k: int, d: int, ins_t: InsT):
         den.append((g, 1))
         designated[t] = g
         steps.append((t, "both"))
-    return [(RatExpr(num, den).reduce(), steps, designated)]
+    return [(RatExpr(num, den), steps, designated)]
 
 
 def _cluster_terms(N: int, k: int, f: int, sigma: tuple[int, ...], ins_t: InsT):
@@ -160,9 +160,9 @@ def _cluster_terms(N: int, k: int, f: int, sigma: tuple[int, ...], ins_t: InsT):
         s = s + _tail_insertion_sum(a, k, n, core, tails)
         num = num * s**m
     half_a = RatExpr(num.scale(Fraction(-(N - 1), N)),
-                     den + [(SparsePoly.variable(w, n), N)]).reduce()
+                     den + [(SparsePoly.variable(w, n), N)])
     half_b = RatExpr(num.scale(Fraction(-(N + 1), N)),
-                     den + [(SparsePoly.variable(core, n), N)]).reduce()
+                     den + [(SparsePoly.variable(core, n), N)])
     return [(half_a, steps, designated), (half_b, steps, designated)]
 
 
@@ -174,23 +174,26 @@ def _point_terms(N: int, k: int, d: int, ins_t: InsT):
     for a, m in ins_t:
         num = num * (w_poly(a, 0, 0, n).scale(d)) ** m
     den = [(z, N * d + 1)]
-    return [(RatExpr(num, den).reduce(), [(0, "zero")], {})]
+    return [(RatExpr(num, den), [(0, "zero")], {})]
+
+
+def _graph_terms(N: int, k: int, graph: Graph, ins_t: InsT):
+    """(integrand, steps, designated) of each chain of one catalog graph."""
+    if isinstance(graph, StarGraph):
+        return _star_terms(N, k, graph.sigma, ins_t)
+    if isinstance(graph, LoopGraph):
+        return _loop_terms(N, k, graph.d, ins_t)
+    if isinstance(graph, ClusterStarGraph):
+        return _cluster_terms(N, k, graph.f, graph.sigma, ins_t)
+    if isinstance(graph, PointGraph):
+        return _point_terms(N, k, graph.d, ins_t)
+    raise TypeError(f"unknown graph {graph!r}")
 
 
 def graph_residue(N: int, k: int, graph: Graph, ins_t: InsT) -> Fraction:
     """Residue value of one catalog graph with the given p >= 2 insertions."""
-    if isinstance(graph, StarGraph):
-        terms = _star_terms(N, k, graph.sigma, ins_t)
-    elif isinstance(graph, LoopGraph):
-        terms = _loop_terms(N, k, graph.d, ins_t)
-    elif isinstance(graph, ClusterStarGraph):
-        terms = _cluster_terms(N, k, graph.f, graph.sigma, ins_t)
-    elif isinstance(graph, PointGraph):
-        terms = _point_terms(N, k, graph.d, ins_t)
-    else:
-        raise TypeError(f"unknown graph {graph!r}")
     total = Fraction(0)
-    for f, steps, designated in terms:
+    for f, steps, designated in _graph_terms(N, k, graph, ins_t):
         total += residue_chain(f, steps, designated)
     return total
 

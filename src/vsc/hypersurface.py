@@ -25,10 +25,6 @@ class Hypersurface:
         if not 1 <= self.k <= self.N:
             raise ValueError("need 1 <= k <= N")
 
-    @property
-    def dim(self) -> int:
-        return self.N - 2
-
     def chern_coeff(self, j: int) -> int:
         """Coefficient of h^j in c(T') = (1+h)^N / (1+kh)."""
         return sum(comb(self.N, j - i) * (-self.k) ** i for i in range(j + 1))

@@ -88,9 +88,6 @@ class SparsePoly:
             raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degs)}")
         return degs.pop() if degs else 0
 
-    def coeff(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), _ZERO)
-
     def key(self) -> tuple:
         """Hashable canonical form, used to merge identical denominator factors."""
         return tuple(sorted(self.terms.items()))
@@ -103,9 +100,6 @@ class SparsePoly:
         if isinstance(other, (int, Fraction)):
             return self == SparsePoly.constant(other, self.nvars)
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nvars, self.key()))
 
     def __neg__(self) -> SparsePoly:
         return SparsePoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -130,9 +124,6 @@ class SparsePoly:
         if isinstance(other, (int, Fraction)):
             other = SparsePoly.constant(other, self.nvars)
         return self + (-other)
-
-    def __rsub__(self, other) -> SparsePoly:
-        return (-self) + other
 
     def scale(self, c) -> SparsePoly:
         c = Fraction(c)
@@ -176,46 +167,18 @@ class SparsePoly:
             n = base_needed
         return result
 
-    # -- calculus and substitution -------------------------------------------
-
-    def derivative(self, v: int) -> SparsePoly:
-        out: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            k = e[v]
-            if k:
-                e2 = e[:v] + (k - 1,) + e[v + 1:]
-                out[e2] = out.get(e2, _ZERO) + k * c
-        return SparsePoly._raw(self.nvars, {e: c for e, c in out.items() if c})
-
-    def subst_zero(self, v: int) -> SparsePoly:
-        return SparsePoly._raw(self.nvars, {e: c for e, c in self.terms.items() if not e[v]})
+    # -- expansion around a point ---------------------------------------------
 
     def substitute(self, v: int, value: SparsePoly) -> SparsePoly:
         """Replace variable ``v`` by ``value``; ``value`` must not involve ``v``."""
-        if value.degree_in(v) > 0:
-            raise ValueError("substitution value involves the substituted variable")
-        if value.is_zero():
-            return self.subst_zero(v)
-        powers: dict[int, SparsePoly] = {0: SparsePoly.constant(1, self.nvars)}
-
-        def pw(k: int) -> SparsePoly:
-            p = powers.get(k)
-            if p is None:
-                p = pw(k - 1) * value
-                powers[k] = p
-            return p
-
-        out = SparsePoly.zero(self.nvars)
-        for e, c in self.terms.items():
-            k = e[v]
-            base = SparsePoly._raw(self.nvars, {e[:v] + (0,) + e[v + 1:]: c})
-            out = out + (base * pw(k) if k else base)
-        return out
+        return self.shift_eps(v, value, 1)[0]
 
     def shift_eps(self, v: int, root: SparsePoly, m: int) -> list[SparsePoly]:
         """Coefficients of eps^0 .. eps^{m-1} in self(v -> root + eps).
 
         The returned polynomials do not involve ``v``; ``root`` must not either.
+        This is the kernel's one expansion around a point: substitution,
+        residues and root solving all read their values from it.
         """
         if root.degree_in(v) > 0:
             raise ValueError("root involves the pole variable")

@@ -14,7 +14,15 @@ f = P(eps) / (eps^m Q(eps)) with Q(0) = c0 not identically zero,
     u_0 = 1 ,  u_j = - sum_{i=1}^{j} Q_i u_{j-i} c0^{i-1} ,
 
 so every intermediate stays polynomial and the denominator stays factored.
-Overcounted denominator powers are cancelled afterwards by exact division.
+
+Normalization happens in this module alone.  Integrands enter a residue
+chain as built, never reduced: the formula reads off the eps^{m-1}
+coefficient of the power series P/Q, and with P = eps^j P' that is the
+eps^{m-1-j} coefficient of P'/Q, the same residue at the true order m - j.
+So an overcounted pole order is harmless, and trial division before the
+chain would buy nothing.  What the formula does overcount are the powers
+c0^m of the factors f(root); ``reduce`` cancels those by exact division on
+every residue's output, which keeps the next step of the chain small.
 """
 
 from __future__ import annotations
@@ -127,18 +135,7 @@ class RatExpr:
 
     __rmul__ = __mul__
 
-    # -- substitution and residue ---------------------------------------------
-
-    def substitute(self, v: int, value: SparsePoly) -> RatExpr:
-        """Substitute v -> value; a denominator factor must not vanish identically."""
-        den = []
-        for f, e in self.den:
-            fs = f.substitute(v, value)
-            if fs.is_zero():
-                raise ZeroDivisionError(
-                    "substitution makes a denominator factor vanish identically")
-            den.append((fs, e))
-        return RatExpr(self.num.substitute(v, value), den)
+    # -- residue --------------------------------------------------------------
 
     def residue_at(self, v: int, root: SparsePoly) -> RatExpr:
         """Residue in v at v = root; zero when no denominator factor vanishes."""
@@ -147,31 +144,32 @@ class RatExpr:
             raise ValueError("root involves the pole variable")
         m = 0
         keep: list[tuple[SparsePoly, int]] = []
-        expand: list[tuple[SparsePoly, int, SparsePoly]] = []
+        expand: list[tuple[list[SparsePoly], int]] = []
         scale = _ONE
         for f, e in self.den:
-            if f.degree_in(v) <= 0:
+            deg = f.degree_in(v)
+            if deg <= 0:
                 keep.append((f, e))
                 continue
-            f_at = f.substitute(v, root)
-            if f_at.is_zero():
-                if f.degree_in(v) != 1:
+            shifted = f.shift_eps(v, root, deg + 1)
+            if shifted[0].is_zero():
+                if deg != 1:
                     raise NonLinearPoleError(
                         f"vanishing denominator factor {f!r} is nonlinear in x{v}")
-                alpha = f.derivative(v)
+                alpha = shifted[1]
                 m += e
                 if alpha.is_constant():
                     scale /= alpha.constant_value() ** e
                 else:
                     keep.append((alpha, e))
             else:
-                expand.append((f, e, f_at))
+                expand.append((shifted, e))
         if m == 0:
             return RatExpr.zero(n)
         P = self.num.shift_eps(v, root, m)
         Q = [SparsePoly.constant(1, n)]
-        for f, e, _ in expand:
-            Q = _eps_mul(Q, _eps_pow(f.shift_eps(v, root, m), e, m), m)
+        for shifted, e in expand:
+            Q = _eps_mul(Q, _eps_pow(shifted[:m], e, m), m)
         while len(Q) < m:
             Q.append(SparsePoly.zero(n))
         c0 = Q[0]
@@ -199,13 +197,18 @@ class RatExpr:
             R = R + P[m - 1 - j] * u[j] * cp(m - 1 - j)
         if R.is_zero():
             return RatExpr.zero(n)
-        den = keep + [(f_at, e * m) for _, e, f_at in expand]
+        den = keep + [(shifted[0], e * m) for shifted, e in expand]
         return RatExpr(R.scale(scale), den).reduce()
 
     # -- normalization and extraction -----------------------------------------
 
     def reduce(self) -> RatExpr:
-        """Cancel denominator factors of total degree 1 that divide the numerator."""
+        """Cancel denominator factors of total degree 1 that divide the numerator.
+
+        Called on ``residue_at``'s output, whose formula overcounts the powers
+        of f(root), and by ``as_fraction``; integrands are never reduced before
+        their chain, because an overcounted pole order is harmless.
+        """
         num = self.num
         if num.is_zero():
             return RatExpr.zero(self.nvars)

@@ -3,17 +3,64 @@
 from fractions import Fraction
 
 from vsc.chain import residue_chain
+from vsc.elliptic import _graph_terms
 from vsc.genus0 import _integrand
 from vsc.hypersurface import Hypersurface, ins_key
 from vsc.poly import SparsePoly
 from vsc.ratfun import RatExpr
 
 
+def poly_derivative(p: SparsePoly, v: int) -> SparsePoly:
+    """d/dx_v of p, term by term."""
+    out: dict = {}
+    for e, c in p.terms.items():
+        k = e[v]
+        if k:
+            e2 = e[:v] + (k - 1,) + e[v + 1:]
+            out[e2] = out.get(e2, 0) + k * c
+    return SparsePoly(p.nvars, out)
+
+
+def subst_zero(p: SparsePoly, v: int) -> SparsePoly:
+    """p at x_v = 0: the terms free of x_v."""
+    return SparsePoly(p.nvars, {e: c for e, c in p.terms.items() if not e[v]})
+
+
+def poly_substitute(p: SparsePoly, v: int, value: SparsePoly) -> SparsePoly:
+    """p with x_v replaced by value, summing each term times a power of value.
+
+    An expansion independent of SparsePoly.shift_eps, which substitute uses.
+    """
+    if value.degree_in(v) > 0:
+        raise ValueError("substitution value involves the substituted variable")
+    powers = [SparsePoly.constant(1, p.nvars)]
+    out = SparsePoly.zero(p.nvars)
+    for e, c in p.terms.items():
+        k = e[v]
+        while len(powers) <= k:
+            powers.append(powers[-1] * value)
+        base = SparsePoly(p.nvars, {e[:v] + (0,) + e[v + 1:]: c})
+        out = out + base * powers[k]
+    return out
+
+
+def substitute(f: RatExpr, v: int, value: SparsePoly) -> RatExpr:
+    """f with x_v -> value; a denominator factor must not vanish identically."""
+    den = []
+    for g, e in f.den:
+        gs = poly_substitute(g, v, value)
+        if gs.is_zero():
+            raise ZeroDivisionError(
+                "substitution makes a denominator factor vanish identically")
+        den.append((gs, e))
+    return RatExpr(poly_substitute(f.num, v, value), den)
+
+
 def derivative(f: RatExpr, v: int) -> RatExpr:
     """d/dv of f by the quotient rule, denominator kept factored."""
     vfac = [(g, e) for g, e in f.den if g.degree_in(v) > 0]
     rest = [(g, e) for g, e in f.den if g.degree_in(v) <= 0]
-    dnum = f.num.derivative(v)
+    dnum = poly_derivative(f.num, v)
     if not vfac:
         return RatExpr(dnum, f.den)
     n = f.nvars
@@ -22,7 +69,7 @@ def derivative(f: RatExpr, v: int) -> RatExpr:
         prod_all = prod_all * g
     s = SparsePoly.zero(n)
     for i, (g, e) in enumerate(vfac):
-        part = g.derivative(v).scale(e)
+        part = poly_derivative(g, v).scale(e)
         for j, (h, _) in enumerate(vfac):
             if j != i:
                 part = part * h
@@ -57,3 +104,14 @@ def genus0_direct(N: int, k: int, d: int, a: int, b: int,
     f, designated = _integrand(N, k, d, a, b, ins_key(ins))
     steps = [(0, "zero")] + [(i, "both") for i in range(1, d)] + [(d, "zero")]
     return residue_chain(f, steps, designated)
+
+
+def reduced_graph_residue(N: int, k: int, graph, ins_t) -> Fraction:
+    """graph_residue with every integrand term reduced before its chain.
+
+    The engine hands its integrands to residue_chain unreduced; this is the
+    same graph sum with the trial divisions done first.
+    """
+    return sum((residue_chain(f.reduce(), steps, designated)
+                for f, steps, designated in _graph_terms(N, k, graph, ins_t)),
+               Fraction(0))

@@ -107,6 +107,21 @@ def test_family_series_pool_matches_serial():
     assert family_series(5, 3, "star", workers=2) == family_series(5, 3, "star")
 
 
+def test_cy_report_runs_on_one_pool(monkeypatch):
+    import vsc.parallel
+
+    starts = []
+
+    class CountingPool(vsc.parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(vsc.parallel, "ProcessPoolExecutor", CountingPool)
+    assert cy_report(4, 3, workers=2) == cy_report(4, 3)
+    assert starts == [2]
+
+
 def test_ltilde_zero_check_survives_optimize():
     # a wrong Ltilde_0 must stop cy_report even when asserts are compiled out
     script = """

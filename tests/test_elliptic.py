@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from vsc.cache import ResidueCache
-from vsc.elliptic import elliptic_constant, graph_residue
+from vsc.elliptic import _graph_terms, elliptic_constant, graph_residue
 from vsc.graphs import (
     ClusterStarGraph,
     LoopGraph,
@@ -12,6 +12,8 @@ from vsc.graphs import (
     StarGraph,
     graphs_of_degree,
 )
+
+from oracles import reduced_graph_residue
 
 
 def test_projective_plane_degree_one_graph_values():
@@ -78,6 +80,24 @@ def test_cluster_residues_contribute_on_fano():
     assert graph_residue(4, 1, ClusterStarGraph(1, (1,)), ((2, 6),)) == Fraction(135, 4)
     assert graph_residue(4, 2, ClusterStarGraph(1, (1,)), ((2, 4),)) == Fraction(24)
     assert graph_residue(4, 3, ClusterStarGraph(1, (1,)), ((2, 2),)) == Fraction(297, 8)
+
+
+@pytest.mark.parametrize("N, k, ins_by_degree", [
+    (4, 4, {1: (), 2: (), 3: ()}),
+    (5, 1, {1: ((2, 4),), 2: ((2, 2), (3, 3))}),
+    (4, 2, {1: ((2, 2),), 2: ((2, 4),), 3: ((2, 6),)}),
+])
+def test_unreduced_integrands_match_reduced_per_graph(N, k, ins_by_degree):
+    # builders hand integrands to the chain unreduced; every graph's value
+    # must equal the one computed from trial-divided integrands
+    cancellable = 0
+    for d, ins_t in ins_by_degree.items():
+        for graph in graphs_of_degree(d):
+            assert graph_residue(N, k, graph, ins_t) == \
+                reduced_graph_residue(N, k, graph, ins_t), graph
+            cancellable += sum(f.reduce().den != f.den
+                               for f, _, _ in _graph_terms(N, k, graph, ins_t))
+    assert cancellable  # some integrand does carry a cancellable factor
 
 
 def test_projective_plane_degree_three():
