@@ -1,122 +1,219 @@
-"""Sparse multivariate polynomials over the rationals.
+"""Sparse multivariate polynomials over the rationals, on an integer kernel.
 
-A polynomial in ``nvars`` variables is stored as a dict mapping exponent
-tuples of length ``nvars`` to nonzero ``Fraction`` coefficients.  The zero
-polynomial has an empty dict.  All arithmetic is exact.
+A polynomial in ``nvars`` variables has the value ``content * sum_e
+terms[e] * x^e``.  ``content`` is one ``Fraction`` and ``terms`` maps a
+packed exponent to a nonzero ``int``.  The integer coefficients are
+primitive (their gcd is 1) and the coefficient of the largest key is
+positive, so each polynomial has exactly one representation and ``==``
+compares fields.  The zero polynomial has no terms and content 0.
+
+Packed exponents (Monagan & Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007): the exponent of
+x_i sits in the ``_BITS``-bit field starting at bit ``_BITS * i``, and the
+total degree in the field above the last variable.  Multiplying monomials is
+adding keys, and keys compare by total degree first, so ``max(terms)`` is the
+leading term and gives the total degree.  A field holds at most
+``MAX_DEGREE``; no exponent exceeds the total degree, so a total degree
+within that limit never carries into the next field.  The constructor, a
+product, a power and a shift by a root of degree above 1 raise
+``ValueError`` naming the limit when a total degree would exceed it.  They
+never wrap.
+
+By Gauss's lemma the product of primitive polynomials is primitive, and its
+leading coefficient is the product of two positive ones.  A product therefore
+multiplies plain ints and the two contents and needs no gcd pass.  A sum
+brings both contents to a common one, adds integers, and takes one gcd.
+Division by a linear factor divides the primitive parts, which is exact over
+the integers whenever it is exact at all.  All arithmetic is exact.  Only
+this module knows the layout; ``items()`` is the layout-free view.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
-__all__ = ["SparsePoly", "linear_form"]
+__all__ = ["SparsePoly", "linear_form", "MAX_DEGREE"]
 
 Exponents = tuple[int, ...]
+
+_BITS = 16
+MAX_DEGREE = (1 << _BITS) - 1
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _check_degree(d: int) -> None:
+    if d > MAX_DEGREE:
+        raise ValueError(
+            f"total degree {d} exceeds the packed exponent limit {MAX_DEGREE}")
+
+
+def _unit(v: int, nvars: int) -> int:
+    """Packed key of the monomial x_v."""
+    return (1 << (_BITS * v)) | (1 << (_BITS * nvars))
+
+
+def _mul_terms(a: dict[int, int], b: dict[int, int], top: int) -> dict[int, int]:
+    """Product of two nonzero integer term dicts; ``top`` is the degree field's shift."""
+    _check_degree((max(a) >> top) + (max(b) >> top))
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict[int, int] = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
+    if not all(out.values()):
+        out = {e: c for e, c in out.items() if c}
+    return out
+
+
 class SparsePoly:
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "content")
 
     def __init__(self, nvars: int, terms: dict[Exponents, Fraction] | None = None):
-        self.nvars = nvars
-        self.terms: dict[Exponents, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                if len(e) != nvars:
-                    raise ValueError(f"exponent tuple {e} does not match nvars={nvars}")
-                c = Fraction(c)
-                if c:
-                    self.terms[e] = c
+        fracs: dict[int, Fraction] = {}
+        for e, c in (terms or {}).items():
+            if len(e) != nvars:
+                raise ValueError(f"exponent tuple {e} does not match nvars={nvars}")
+            if any(k < 0 for k in e):
+                raise ValueError(f"negative exponent in {e}")
+            _check_degree(sum(e))
+            c = Fraction(c)
+            if c:
+                fracs[sum(k << (_BITS * i) for i, k in enumerate(e))
+                      | (sum(e) << (_BITS * nvars))] = c
+        den = lcm(*(c.denominator for c in fracs.values()))
+        p = SparsePoly._make(nvars, {e: c.numerator * (den // c.denominator)
+                                     for e, c in fracs.items()}, Fraction(1, den))
+        self.nvars, self.terms, self.content = nvars, p.terms, p.content
 
     @classmethod
-    def _raw(cls, nvars: int, terms: dict[Exponents, Fraction]) -> SparsePoly:
-        # internal fast path: trusts that terms are well-formed and zero-free
+    def _raw(cls, nvars: int, terms: dict[int, int], content: Fraction) -> SparsePoly:
+        # internal fast path: trusts that terms are primitive, zero-free and
+        # have a positive leading coefficient.  Term dicts are shared between
+        # polynomials (scale, negation), so none is changed after this call.
         p = cls.__new__(cls)
         p.nvars = nvars
         p.terms = terms
+        p.content = content
         return p
 
     @classmethod
+    def _make(cls, nvars: int, terms: dict[int, int], content) -> SparsePoly:
+        """content * terms for zero-free integer terms of any gcd and sign."""
+        if not terms:
+            return cls._raw(nvars, {}, _ZERO)
+        g = gcd(*terms.values())
+        if terms[max(terms)] < 0:
+            g = -g
+        if g != 1:
+            terms = {e: c // g for e, c in terms.items()}
+            content = content * g
+        return cls._raw(nvars, terms, content)
+
+    @classmethod
     def zero(cls, nvars: int) -> SparsePoly:
-        return cls._raw(nvars, {})
+        return cls._raw(nvars, {}, _ZERO)
 
     @classmethod
     def constant(cls, c, nvars: int) -> SparsePoly:
         c = Fraction(c)
         if not c:
-            return cls._raw(nvars, {})
-        return cls._raw(nvars, {(0,) * nvars: c})
+            return cls.zero(nvars)
+        return cls._raw(nvars, {0: 1}, c)
 
     @classmethod
     def variable(cls, i: int, nvars: int) -> SparsePoly:
-        e = [0] * nvars
-        e[i] = 1
-        return cls._raw(nvars, {tuple(e): _ONE})
+        return cls._raw(nvars, {_unit(i, nvars): 1}, _ONE)
 
     # -- predicates and views -------------------------------------------------
+
+    def items(self) -> Iterator[tuple[Exponents, Fraction]]:
+        """(exponent tuple, rational coefficient) pairs, in no particular order."""
+        n, content = self.nvars, self.content
+        for e, c in self.terms.items():
+            yield tuple((e >> (_BITS * i)) & MAX_DEGREE for i in range(n)), content * c
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return self.terms.keys() <= {0}
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
-            return _ZERO
-        if len(self.terms) == 1:
-            e, c = next(iter(self.terms.items()))
-            if not any(e):
-                return c
+        if self.is_constant():
+            return self.content  # a primitive constant term is 1
         raise ValueError("polynomial is not constant")
 
     def degree_in(self, v: int) -> int:
         # degree of the zero polynomial is reported as -1
-        return max((e[v] for e in self.terms), default=-1)
+        shift = _BITS * v
+        return max(((e >> shift) & MAX_DEGREE for e in self.terms), default=-1)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(self.terms) >> (_BITS * self.nvars) if self.terms else -1
 
     def homogeneous_degree(self) -> int:
         """Total degree if homogeneous (zero counts as any degree), else raises."""
-        degs = {sum(e) for e in self.terms}
+        top = _BITS * self.nvars
+        degs = {e >> top for e in self.terms}
         if len(degs) > 1:
             raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degs)}")
         return degs.pop() if degs else 0
 
     def key(self) -> tuple:
         """Hashable canonical form, used to merge identical denominator factors."""
-        return tuple(sorted(self.terms.items()))
+        return self.content, frozenset(self.terms.items())
+
+    def primitive(self) -> tuple[Fraction, SparsePoly]:
+        """(content, part) with self = content * part, where part has coprime
+        integer coefficients and a positive leading term."""
+        if not self.terms:
+            raise ValueError("the zero polynomial has no primitive part")
+        return self.content, SparsePoly._raw(self.nvars, self.terms, _ONE)
 
     # -- arithmetic -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SparsePoly):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return (self.nvars == other.nvars and self.content == other.content
+                    and self.terms == other.terms)
         if isinstance(other, (int, Fraction)):
             return self == SparsePoly.constant(other, self.nvars)
         return NotImplemented
 
     def __neg__(self) -> SparsePoly:
-        return SparsePoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._raw(self.nvars, self.terms, -self.content)
 
     def __add__(self, other) -> SparsePoly:
         if isinstance(other, (int, Fraction)):
             other = SparsePoly.constant(other, self.nvars)
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, _ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return SparsePoly._raw(self.nvars, out)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        a, b = self, other
+        if len(a.terms) < len(b.terms):
+            a, b = b, a
+        # common content g/l: both contents are integer multiples of it
+        pa, qa = a.content.numerator, a.content.denominator
+        pb, qb = b.content.numerator, b.content.denominator
+        g, l = gcd(pa, pb), lcm(qa, qb)
+        ma, mb = pa // g * (l // qa), pb // g * (l // qb)
+        out = dict(a.terms) if ma == 1 else {e: ma * c for e, c in a.terms.items()}
+        get = out.get
+        for e, c in b.terms.items():
+            out[e] = get(e, 0) + mb * c
+        if not all(out.values()):
+            out = {e: c for e, c in out.items() if c}
+        return SparsePoly._make(self.nvars, out, Fraction(g, l))
 
     __radd__ = __add__
 
@@ -127,29 +224,20 @@ class SparsePoly:
 
     def scale(self, c) -> SparsePoly:
         c = Fraction(c)
-        if not c:
+        if not c or not self.terms:
             return SparsePoly.zero(self.nvars)
-        return SparsePoly._raw(self.nvars, {e: c * v for e, v in self.terms.items()})
+        return SparsePoly._raw(self.nvars, self.terms, self.content * c)
 
     def __mul__(self, other) -> SparsePoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[Exponents, Fraction] = {}
-        get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = get(e, _ZERO) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return SparsePoly._raw(self.nvars, out)
+        n = self.nvars
+        if not self.terms or not other.terms:
+            return SparsePoly.zero(n)
+        return SparsePoly._raw(n, _mul_terms(self.terms, other.terms, _BITS * n),
+                               self.content * other.content)
 
     __rmul__ = __mul__
 
@@ -183,95 +271,102 @@ class SparsePoly:
         if root.degree_in(v) > 0:
             raise ValueError("root involves the pole variable")
         n = self.nvars
-        out: list[dict[Exponents, Fraction]] = [{} for _ in range(m)]
-        if root.is_zero():
+        shift, unit, top = _BITS * v, _unit(v, n), _BITS * n
+        out: list[dict[int, int]] = [{} for _ in range(m)]
+        if not root.terms or not self.terms:
             for e, c in self.terms.items():
-                k = e[v]
+                k = (e >> shift) & MAX_DEGREE
                 if k < m:
-                    e2 = e[:v] + (0,) + e[v + 1:]
-                    d = out[k]
-                    d[e2] = d.get(e2, _ZERO) + c
-        else:
-            powers: dict[int, SparsePoly] = {0: SparsePoly.constant(1, n)}
-
-            def pw(k: int) -> SparsePoly:
-                p = powers.get(k)
-                if p is None:
-                    p = pw(k - 1) * root
-                    powers[k] = p
-                return p
-
-            for e, c in self.terms.items():
-                k = e[v]
-                base = e[:v] + (0,) + e[v + 1:]
-                for i in range(min(k, m - 1) + 1):
-                    coef = comb(k, i) * c
-                    d = out[i]
-                    for er, cr in pw(k - i).terms.items():
-                        e2 = tuple(x + y for x, y in zip(base, er))
-                        s = d.get(e2, _ZERO) + coef * cr
-                        if s:
-                            d[e2] = s
-                        else:
-                            d.pop(e2, None)
-        return [SparsePoly._raw(n, {e: c for e, c in d.items() if c}) for d in out]
+                    out[k][e - k * unit] = c
+            return [SparsePoly._make(n, d, self.content) for d in out]
+        # root = s / q with integer terms s; scale every term by q^K, K the
+        # degree in v, so that the expansion stays in the integers
+        q = root.content.denominator
+        s = {e: root.content.numerator * c for e, c in root.terms.items()}
+        deg_s = max(s) >> top
+        if deg_s > 1:
+            _check_degree(max((e >> top) + ((e >> shift) & MAX_DEGREE) * (deg_s - 1)
+                              for e in self.terms))
+        K = self.degree_in(v)
+        q_pow = [q ** j for j in range(K + 1)]
+        s_pow = [{0: 1}]
+        for e, c in self.terms.items():
+            k = (e >> shift) & MAX_DEGREE
+            base = e - k * unit
+            while len(s_pow) <= k:
+                s_pow.append(_mul_terms(s_pow[-1], s, top))
+            for i in range(min(k, m - 1) + 1):
+                coef = comb(k, i) * c * q_pow[K - k + i]
+                d = out[i]
+                get = d.get
+                for er, cr in s_pow[k - i].items():
+                    e2 = base + er
+                    d[e2] = get(e2, 0) + coef * cr
+        content = self.content / q_pow[K]
+        return [SparsePoly._make(n, {e: c for e, c in d.items() if c}, content)
+                for d in out]
 
     # -- division by a linear factor ------------------------------------------
 
     def divide_exact_linear(self, form: SparsePoly) -> SparsePoly | None:
-        """Exact quotient self / form for a polynomial of total degree 1, else None."""
+        """Exact quotient self / form for a polynomial of total degree 1, else None.
+
+        Divides the primitive parts.  By Gauss's lemma their exact quotient,
+        if there is one, has integer coefficients, so the first coefficient
+        that the pivot coefficient does not divide proves there is none.
+        """
         if form.total_degree() != 1:
             raise ValueError("divisor must have total degree 1")
-        n = self.nvars
-        if self.is_zero():
+        if not self.terms:
             return self
-        # fast path: monomial divisor c * x_v
+        n = self.nvars
+        top = _BITS * n
+        content = self.content / form.content
+        # the pivot is the highest variable in the form: its key is the largest
+        pivot = max(form.terms)
+        cv = form.terms[pivot]
+        shift = (pivot ^ (1 << top)).bit_length() - 1
         if len(form.terms) == 1:
-            (e0, c0), = form.terms.items()
-            v = e0.index(1)
-            out: dict[Exponents, Fraction] = {}
+            # monomial divisor x_v: shift every exponent of x_v down by one
+            out: dict[int, int] = {}
             for e, c in self.terms.items():
-                if not e[v]:
+                if not (e >> shift) & MAX_DEGREE:
                     return None
-                out[e[:v] + (e[v] - 1,) + e[v + 1:]] = c / c0
-            return SparsePoly._raw(n, out)
-        # general case: synthetic division in a pivot variable
-        pivot = -1
-        cv = _ZERO
-        for e, c in form.terms.items():
-            if sum(e) == 1:
-                i = e.index(1)
-                if i > pivot:
-                    pivot, cv = i, c
-        tail = form - SparsePoly._raw(n, {(0,) * pivot + (1,) + (0,) * (n - pivot - 1): cv})
-        by_deg: dict[int, SparsePoly] = {}
+                out[e - pivot] = c
+            return SparsePoly._raw(n, out, content)
+        # general case: synthetic division in the pivot variable
+        tail = [(e, c) for e, c in form.terms.items() if e != pivot]
+        by_deg: dict[int, dict[int, int]] = {}
         for e, c in self.terms.items():
-            k = e[pivot]
-            e2 = e[:pivot] + (0,) + e[pivot + 1:]
-            d = by_deg.setdefault(k, SparsePoly.zero(n))
-            by_deg[k] = d + SparsePoly._raw(n, {e2: c})
-        top = max(by_deg)
-        quot: dict[Exponents, Fraction] = {}
-        for j in range(top, 0, -1):
-            nj = by_deg.pop(j, SparsePoly.zero(n))
-            if nj.is_zero():
+            j = (e >> shift) & MAX_DEGREE
+            by_deg.setdefault(j, {})[e - j * pivot] = c
+        quot: dict[int, int] = {}
+        for j in range(max(by_deg), 0, -1):
+            nj = by_deg.get(j)
+            if not nj:
                 continue
-            g = nj.scale(1 / cv)
-            for e, c in g.terms.items():
-                e2 = e[:pivot] + (j - 1,) + e[pivot + 1:]
-                quot[e2] = quot.get(e2, _ZERO) + c
-            lower = by_deg.get(j - 1, SparsePoly.zero(n))
-            by_deg[j - 1] = lower - g * tail
-        rem = by_deg.get(0, SparsePoly.zero(n))
-        if not rem.is_zero():
+            lower = by_deg.setdefault(j - 1, {})
+            get = lower.get
+            up = (j - 1) * pivot
+            for e, c in nj.items():
+                if not c:
+                    continue
+                g, r = divmod(c, cv)
+                if r:
+                    return None
+                quot[e + up] = g
+                for et, ct in tail:
+                    e2 = e + et
+                    lower[e2] = get(e2, 0) - g * ct
+        if any(by_deg.get(0, {}).values()):
             return None
-        return SparsePoly._raw(n, {e: c for e, c in quot.items() if c})
+        return SparsePoly._raw(n, quot, content)
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for e, c in sorted(self.terms.items()):
+        for e, c in sorted(self.items()):
             mono = "*".join(
                 f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(e) if k
             )
@@ -281,11 +376,9 @@ class SparsePoly:
 
 def linear_form(coeffs: dict[int, Fraction | int], nvars: int) -> SparsePoly:
     """Homogeneous linear form sum_i coeffs[i] * x_i."""
-    terms: dict[Exponents, Fraction] = {}
+    terms: dict[Exponents, Fraction | int] = {}
     for i, c in coeffs.items():
-        c = Fraction(c)
-        if c:
-            e = [0] * nvars
-            e[i] = 1
-            terms[tuple(e)] = c
-    return SparsePoly._raw(nvars, terms)
+        e = [0] * nvars
+        e[i] = 1
+        terms[tuple(e)] = c
+    return SparsePoly(nvars, terms)

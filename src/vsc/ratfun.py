@@ -28,7 +28,6 @@ every residue's output, which keeps the next step of the chain small.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .poly import SparsePoly
 
@@ -39,22 +38,6 @@ _ONE = Fraction(1)
 
 class NonLinearPoleError(ValueError):
     """A denominator factor vanishing at the requested point is not linear."""
-
-
-def _canonical_factor(f: SparsePoly) -> tuple[SparsePoly, Fraction]:
-    """Scale f to coprime integer coefficients with positive leading sign.
-
-    Returns (f_norm, lam) with f_norm = lam * f, so that identical factors
-    produced along different substitution chains compare equal.
-    """
-    nums = [c.numerator for c in f.terms.values()]
-    dens = [c.denominator for c in f.terms.values()]
-    lam = Fraction(lcm(*dens) if len(dens) > 1 else dens[0],
-                   gcd(*nums) if len(nums) > 1 else abs(nums[0]))
-    lead = f.terms[min(f.terms)]
-    if lead < 0:
-        lam = -lam
-    return f.scale(lam), lam
 
 
 def _eps_mul(a: list[SparsePoly], b: list[SparsePoly], m: int) -> list[SparsePoly]:
@@ -99,8 +82,10 @@ class RatExpr:
             if f.is_constant():
                 scale /= f.constant_value() ** e
                 continue
-            fn, lam = _canonical_factor(f)
-            scale *= lam ** e
+            # the primitive part with a positive leading term is canonical, so
+            # identical factors from different substitution chains merge
+            content, fn = f.primitive()
+            scale /= content ** e
             k = fn.key()
             if k in merged:
                 merged[k][1] += e

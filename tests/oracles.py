@@ -10,10 +10,63 @@ from vsc.poly import SparsePoly
 from vsc.ratfun import RatExpr
 
 
+def poly_mul(a: SparsePoly, b: SparsePoly) -> SparsePoly:
+    """a * b by the schoolbook loop over exponent tuples and Fraction coefficients.
+
+    An independent reference for the packed integer product of SparsePoly.
+    """
+    bt = list(b.items())
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in bt:
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return SparsePoly(a.nvars, out)
+
+
+def poly_add(a: SparsePoly, b: SparsePoly) -> SparsePoly:
+    """a + b term by term over exponent tuples."""
+    out = dict(a.items())
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return SparsePoly(a.nvars, out)
+
+
+def poly_divide_exact_linear(p: SparsePoly, form: SparsePoly) -> SparsePoly | None:
+    """p / form by synthetic division in Fractions, else None.
+
+    An independent reference for SparsePoly.divide_exact_linear: pivots on the
+    highest variable of the form and divides by its rational coefficient.
+    """
+    n = p.nvars
+    f = dict(form.items())
+    if max((sum(e) for e in f), default=-1) != 1:
+        raise ValueError("divisor must have total degree 1")
+    pivot, cv = max((e.index(1), c) for e, c in f.items() if sum(e) == 1)
+    tail = {e: c for e, c in f.items() if sum(e) == 0 or e.index(1) != pivot}
+    by_deg: dict = {}
+    for e, c in p.items():
+        by_deg.setdefault(e[pivot], {})[e[:pivot] + (0,) + e[pivot + 1:]] = c
+    quot: dict = {}
+    for j in range(max(by_deg, default=0), 0, -1):
+        lower = by_deg.setdefault(j - 1, {})
+        for e, c in by_deg.pop(j, {}).items():
+            if not c:
+                continue
+            g = c / cv
+            quot[e[:pivot] + (j - 1,) + e[pivot + 1:]] = g
+            for et, ct in tail.items():
+                e2 = tuple(x + y for x, y in zip(e, et))
+                lower[e2] = lower.get(e2, 0) - g * ct
+    if any(by_deg.get(0, {}).values()):
+        return None
+    return SparsePoly(n, quot)
+
+
 def poly_derivative(p: SparsePoly, v: int) -> SparsePoly:
     """d/dx_v of p, term by term."""
     out: dict = {}
-    for e, c in p.terms.items():
+    for e, c in p.items():
         k = e[v]
         if k:
             e2 = e[:v] + (k - 1,) + e[v + 1:]
@@ -23,24 +76,25 @@ def poly_derivative(p: SparsePoly, v: int) -> SparsePoly:
 
 def subst_zero(p: SparsePoly, v: int) -> SparsePoly:
     """p at x_v = 0: the terms free of x_v."""
-    return SparsePoly(p.nvars, {e: c for e, c in p.terms.items() if not e[v]})
+    return SparsePoly(p.nvars, {e: c for e, c in p.items() if not e[v]})
 
 
 def poly_substitute(p: SparsePoly, v: int, value: SparsePoly) -> SparsePoly:
     """p with x_v replaced by value, summing each term times a power of value.
 
-    An expansion independent of SparsePoly.shift_eps, which substitute uses.
+    An expansion independent of SparsePoly.shift_eps, which substitute uses,
+    and of the packed product: it multiplies with poly_mul.
     """
     if value.degree_in(v) > 0:
         raise ValueError("substitution value involves the substituted variable")
     powers = [SparsePoly.constant(1, p.nvars)]
     out = SparsePoly.zero(p.nvars)
-    for e, c in p.terms.items():
+    for e, c in p.items():
         k = e[v]
         while len(powers) <= k:
-            powers.append(powers[-1] * value)
+            powers.append(poly_mul(powers[-1], value))
         base = SparsePoly(p.nvars, {e[:v] + (0,) + e[v + 1:]: c})
-        out = out + base * powers[k]
+        out = poly_add(out, poly_mul(base, powers[k]))
     return out
 
 

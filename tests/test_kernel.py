@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from vsc import RatExpr, SparsePoly, linear_form
 from vsc.ratfun import NonLinearPoleError
 
-from oracles import (derivative, equals, poly_derivative, poly_substitute, subst_zero,
+from vsc.poly import MAX_DEGREE
+
+from oracles import (derivative, equals, poly_add, poly_derivative,
+                     poly_divide_exact_linear, poly_mul, poly_substitute, subst_zero,
                      substitute)
 
 F = Fraction
@@ -108,7 +111,7 @@ def test_shift_eps_matches_substitution(p, root):
     shifted = poly_substitute(subst_zero(p, 2), 0, root + t)
     for i, ci in enumerate(coeffs):
         collected = SparsePoly(3, {
-            e[:2] + (0,): c for e, c in shifted.terms.items() if e[2] == i
+            e[:2] + (0,): c for e, c in shifted.items() if e[2] == i
         })
         assert collected == subst_zero(ci, 2)
 
@@ -118,6 +121,86 @@ def test_shift_eps_matches_substitution(p, root):
 def test_linear_division_roundtrip(p):
     f = linear_form({0: 1, 1: 2}, 3)
     assert (p * f).divide_exact_linear(f) == p
+
+
+@st.composite
+def _poly_in(draw, n):
+    return SparsePoly(n, draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * n),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        max_size=6,
+    )))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_packed_kernel_matches_tuple_oracles(data):
+    # 1-6 variables, rational coefficients: product, sum, shift and exact division
+    n = data.draw(st.integers(1, 6))
+    a, b = data.draw(_poly_in(n)), data.draw(_poly_in(n))
+    assert a * b == poly_mul(a, b)
+    assert a + b == poly_add(a, b)
+    assert a - b == poly_add(a, b.scale(-1))
+    # shift_eps: with eps as an extra variable t, sum_i c_i t^i = a(x_v -> root + t)
+    v = data.draw(st.integers(0, n - 1))
+    root = subst_zero(b, v)
+    coeffs = a.shift_eps(v, root, max(a.degree_in(v), 0) + 1)
+    assert all(c.degree_in(v) <= 0 for c in coeffs)
+    assert coeffs[0] == poly_substitute(a, v, root)
+
+    def lift(p):
+        return SparsePoly(n + 1, {e + (0,): c for e, c in p.items()})
+
+    t = SparsePoly.variable(n, n + 1)
+    collected, t_pow = SparsePoly.zero(n + 1), SparsePoly.constant(1, n + 1)
+    for c in coeffs:
+        collected = poly_add(collected, poly_mul(lift(c), t_pow))
+        t_pow = poly_mul(t_pow, t)
+    assert collected == poly_substitute(lift(a), v, poly_add(lift(root), t))
+    # exact quotient of f*a by a linear f, and None for f*a + 1
+    lin = data.draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                             min_size=n + 1, max_size=n + 1).filter(lambda c: any(c[:n])))
+    f = linear_form(dict(enumerate(lin[:n])), n) + lin[n]
+    fa = f * a
+    assert fa.divide_exact_linear(f) == a == poly_divide_exact_linear(fa, f)
+    assert (fa + 1).divide_exact_linear(f) is None
+    assert poly_divide_exact_linear(fa + 1, f) is None
+
+
+# -- packed exponent field -----------------------------------------------------
+
+
+def test_packed_field_overflow_raises():
+    x, y = var(0, 2), var(1, 2)
+    top = x ** MAX_DEGREE
+    assert top.total_degree() == MAX_DEGREE
+    with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+        top * y  # each exponent fits its field, the total degree does not
+    with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+        x ** (MAX_DEGREE + 1)
+    with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+        (x ** 40000).substitute(0, y * y)
+
+
+def test_constructor_rejects_bad_exponents():
+    with pytest.raises(ValueError, match="nvars"):
+        SparsePoly(2, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="negative"):
+        SparsePoly(2, {(2, -1): 1})  # would borrow from the next field
+    with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+        SparsePoly(2, {(MAX_DEGREE + 1, 0): 1})
+    with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+        SparsePoly(2, {(MAX_DEGREE, 1): 1})
+    assert SparsePoly(2, {(MAX_DEGREE, 0): 1}) == var(0, 2) ** MAX_DEGREE
+
+
+def test_items_view_and_primitive_part():
+    p = P(2, {(2, 0): F(3, 4), (0, 1): F(-1, 2)})
+    assert dict(p.items()) == {(2, 0): F(3, 4), (0, 1): F(-1, 2)}
+    content, part = p.primitive()
+    assert content * part == p
+    assert dict(part.items()) == {(2, 0): 3, (0, 1): -2}
+    assert (-p).primitive()[1] == part
 
 
 # -- residue oracles ----------------------------------------------------------
