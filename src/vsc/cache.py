@@ -1,11 +1,12 @@
-"""Disk cache for per-graph elliptic residue values.
+"""Disk cache for residue values: genus-1 graph residues and genus-0 chains.
 
 One JSON record per key.  Values are exact rationals stored as two decimal
-integer strings, so records survive any JSON number handling.  Writes go to
-a temp file in the same directory and are renamed into place, which keeps
-concurrent runs from ever reading a half-written record.  The key carries
-the integrand schema, so a record from an older integrand is a miss and
-gets recomputed, never served.
+integer strings, so records survive any JSON number handling; a record that
+does not hold two such integers with a nonzero denominator is a miss, gets
+recomputed and is rewritten.  Writes go to a temp file in the same directory
+and are renamed into place, which keeps concurrent runs from ever reading a
+half-written record.  Every key carries the integrand schema, so a record
+from an older integrand is a miss and gets recomputed, never served.
 """
 
 from __future__ import annotations
@@ -18,52 +19,72 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-__all__ = ["ResidueCache", "default_cache_dir"]
+__all__ = ["ResidueCache", "default_cache_dir", "graph_key", "chain_key"]
 
 ENV_VAR = "VSC_CACHE"
-# Bump whenever a graph integrand in elliptic.py changes the value it yields.
+# Bump whenever a graph integrand in elliptic.py or the chain integrand
+# genus0._integrand changes the value it yields.
 SCHEMA = 1
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def default_cache_dir() -> Path:
     return Path(os.environ.get(ENV_VAR) or ".vsc-cache")
 
 
+def graph_key(N: int, k: int, d: int, graph: str, ins: str) -> dict:
+    """Key of a genus-1 graph residue, by graph label and insertion string."""
+    return {"schema": SCHEMA, "N": N, "k": k, "d": d, "graph": graph, "ins": ins}
+
+
+def chain_key(N: int, k: int, d: int, a: int, b: int, ins: str) -> dict:
+    """Key of a genus-0 chain value, by endpoint slots and insertion string."""
+    return {"schema": SCHEMA, "kind": "g0", "N": N, "k": k, "d": d,
+            "a": a, "b": b, "ins": ins}
+
+
 def _slug(key: dict) -> str:
     canonical = json.dumps(key, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha1(canonical.encode()).hexdigest()[:12]
-    human = "g1_N{N}_k{k}_d{d}_{graph}".format(**key)
+    if key.get("kind") == "g0":
+        human = "g0_N{N}_k{k}_d{d}_a{a}_b{b}".format(**key)
+    else:
+        human = "g1_N{N}_k{k}_d{d}_{graph}".format(**key)
     human = re.sub(r"[^A-Za-z0-9_-]+", "-", human).strip("-")
     return f"{human}_{digest}.json"
 
 
+def _value(record, key: dict) -> Fraction | None:
+    if not isinstance(record, dict) or record.get("key") != key:
+        return None  # foreign file or hash collision
+    num, den = record.get("num"), record.get("den")
+    if not all(isinstance(s, str) and _DECIMAL.fullmatch(s) for s in (num, den)) \
+            or int(den) == 0:
+        return None
+    return Fraction(int(num), int(den))
+
+
 class ResidueCache:
-    """Maps (N, k, d, graph label, insertion string) to an exact rational."""
+    """Maps a graph_key or chain_key to an exact rational."""
 
     def __init__(self, directory: Path | str):
         self.directory = Path(directory)
         self.hits = 0
         self.misses = 0
 
-    def _key(self, N: int, k: int, d: int, graph: str, ins: str) -> dict:
-        return {"schema": SCHEMA, "N": N, "k": k, "d": d, "graph": graph, "ins": ins}
-
-    def get(self, N: int, k: int, d: int, graph: str, ins: str) -> Fraction | None:
-        key = self._key(N, k, d, graph, ins)
-        path = self.directory / _slug(key)
+    def get(self, key: dict) -> Fraction | None:
         try:
-            record = json.loads(path.read_text())
+            value = _value(json.loads((self.directory / _slug(key)).read_text()), key)
         except (OSError, ValueError):
+            value = None
+        if value is None:
             self.misses += 1
-            return None
-        if record.get("key") != key:  # hash collision or foreign file
-            self.misses += 1
-            return None
-        self.hits += 1
-        return Fraction(int(record["num"]), int(record["den"]))
+        else:
+            self.hits += 1
+        return value
 
-    def put(self, N: int, k: int, d: int, graph: str, ins: str, value: Fraction) -> None:
-        key = self._key(N, k, d, graph, ins)
+    def put(self, key: dict, value: Fraction) -> None:
         record = {"key": key, "num": str(value.numerator), "den": str(value.denominator)}
         self.directory.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")

@@ -18,7 +18,7 @@ from math import factorial
 # graph_residue and parallel_map are unused here; perfbench/tracer.py wraps
 # them under this module's names.
 from .elliptic import graph_residue, graph_values  # noqa: F401
-from .genus0 import genus0_constant
+from .genus0 import Genus0Chain, genus0_constant
 from .graphs import (ClusterStarGraph, LoopGraph, PointGraph, StarGraph,
                      graphs_of_degree, ordered_partitions)
 from .hypersurface import Hypersurface
@@ -94,13 +94,17 @@ def dilog_integral(k: int, q_cap: int) -> TruncatedSeries:
     return TruncatedSeries(0, q_cap, terms)
 
 
-def _family_sums(k: int, q_cap: int, families, cache=None,
-                 workers: int = 1) -> dict[str, TruncatedSeries]:
-    """Per-family q-series of graph residue sums, from one graph_values call."""
+def _family_sums(k: int, q_cap: int, families, cache=None, workers: int = 1,
+                 chains=()) -> dict[str, TruncatedSeries]:
+    """Per-family q-series of graph residue sums, from one graph_values call.
+
+    The genus-0 chain jobs a caller passes in ride along on that call.
+    """
     _check_cy(k)
     graphs = [(family, g) for d in range(1, q_cap + 1) for g in graphs_of_degree(d)
               for family in families if isinstance(g, FAMILIES[family])]
-    values = graph_values(k, k, [(g, ()) for _, g in graphs], cache, workers)
+    jobs = [*chains, *((g, ()) for _, g in graphs)]
+    values = graph_values(k, k, jobs, cache, workers)[len(chains):]
     terms: dict[str, dict] = {family: {} for family in families}
     for (family, graph), val in zip(graphs, values):
         t = terms[family]
@@ -187,11 +191,15 @@ class CyReport:
 def cy_report(k: int, q_cap: int, cache=None, workers: int = 1) -> CyReport:
     """Compute every series entering the genus-1 identities of M_k^k."""
     _check_cy(k)
+    # One planner call evaluates every residue chain of the report: the
+    # genus-0 chains of each Ltilde_m read below land in genus0.memo.
+    chains = [(Genus0Chain(d, k - 2 - m, m - 1), ())
+              for m in sorted({0, 1, *_loop_weights(k)}) for d in range(1, q_cap + 1)]
+    sums = _family_sums(k, q_cap, tuple(FAMILIES), cache, workers, chains)
     l0 = ltilde(k, 0, q_cap)
     if l0 != ltilde_zero_closed(k, q_cap):
         raise RuntimeError("Ltilde_0 differs from its closed form")
     l1 = ltilde(k, 1, q_cap)
-    sums = _family_sums(k, q_cap, tuple(FAMILIES), cache, workers)
     lhs = sums["loop"] + dilog_integral(k, q_cap).scale(Fraction(k * k - 1, 24 * k))
     if k % 2 == 0:
         lhs = lhs + log_one_minus(k, q_cap).scale(Fraction(-1, 16))

@@ -38,13 +38,19 @@ def _series_str(series: TruncatedSeries, block_offset: int = 2) -> str:
     return " ".join(parts) if parts else "0"
 
 
+def _threads(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_cache_args(parser):
     parser.add_argument("--cache-dir", metavar="DIR",
-                        help="directory for per-graph residue records "
+                        help="directory for residue records "
                              "(default: $VSC_CACHE or .vsc-cache)")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the residue cache")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    parser.add_argument("--threads", type=_threads, default=os.cpu_count() or 1,
                         help="worker processes for independent residues "
                              "(default: all cores)")
 
@@ -213,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

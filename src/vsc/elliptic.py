@@ -16,15 +16,19 @@ own variable layout together with a residue schedule:
 
 Insertions with p = 0 kill the constant and each p = 1 insertion multiplies
 it by d; both are applied analytically before the graph sum.
+
+graph_values is the one planner for residue chains of both genera: tables
+and reports hand it their genus-1 graphs together with the genus-0 chains
+their mirror maps read, and it meets the disk cache and the pool for all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cache import ResidueCache
+from .cache import ResidueCache, chain_key, graph_key
 from .chain import residue_chain
-from .genus0 import e_poly, w_poly
+from .genus0 import Genus0Chain, chain_residue, e_poly, memo, w_poly
 from .graphs import (
     ClusterStarGraph,
     Graph,
@@ -198,30 +202,50 @@ def graph_residue(N: int, k: int, graph: Graph, ins_t: InsT) -> Fraction:
     return total
 
 
-def _job(args):
-    N, k, graph, ins_t = args
-    return graph_residue(N, k, graph, ins_t)
+def _evaluate(args):
+    N, k, part, ins_t = args
+    if isinstance(part, Genus0Chain):
+        return chain_residue(N, k, part, ins_t)
+    return graph_residue(N, k, part, ins_t)
 
 
-def graph_values(N: int, k: int, jobs: list[tuple[Graph, InsT]],
+def _cache_key(N: int, k: int, part, ins_t: InsT) -> dict:
+    ins = format_insertions(dict(ins_t))
+    if isinstance(part, Genus0Chain):
+        return chain_key(N, k, part.degree, part.a, part.b, ins)
+    return graph_key(N, k, part.degree, part.label(), ins)
+
+
+def graph_values(N: int, k: int, jobs: list[tuple[Graph | Genus0Chain, InsT]],
                  cache: ResidueCache | None = None,
                  workers: int = 1) -> list[Fraction]:
-    """Residue values of (graph, p >= 2 insertions) jobs, in job order.
+    """Residue values of (graph or genus-0 chain, p >= 2 insertions) jobs.
 
-    The only place graph residues meet the cache and the process pool:
-    cached values are read first, the misses run in one parallel_map call,
-    so a whole table shares one pool, and are written back.
+    The one planner for every residue chain of a table or report: duplicate
+    jobs are evaluated once; genus-0 values come from genus0.memo, then any
+    value from the disk cache; the misses run in one parallel_map call,
+    highest degree first (ties in job order), so the longest chains start
+    first and a whole table shares one pool.  Computed values are written
+    to the cache, and genus-0 values also to the memo that genus0_constant
+    reads.  Values are returned in job order.
     """
-    keys = [(graph.degree, graph.label(), format_insertions(dict(ins_t)))
-            for graph, ins_t in jobs]
-    values = [cache.get(N, k, *key) if cache is not None else None for key in keys]
-    misses = [i for i, value in enumerate(values) if value is None]
-    computed = parallel_map(_job, [(N, k, *jobs[i]) for i in misses], workers)
-    for i, value in zip(misses, computed):
-        values[i] = value
+    values: dict[tuple, Fraction | None] = dict.fromkeys(jobs)
+    for job in values:
+        if isinstance(job[0], Genus0Chain):
+            values[job] = memo.get((N, k, *job, "ascending"))
+        if values[job] is None and cache is not None:
+            values[job] = cache.get(_cache_key(N, k, *job))
+    misses = sorted((job for job, value in values.items() if value is None),
+                    key=lambda job: -job[0].degree)
+    computed = parallel_map(_evaluate, [(N, k, *job) for job in misses], workers)
+    for job, value in zip(misses, computed):
+        values[job] = value
         if cache is not None:
-            cache.put(N, k, *keys[i], value)
-    return values
+            cache.put(_cache_key(N, k, *job), value)
+    for job, value in values.items():
+        if isinstance(job[0], Genus0Chain):
+            memo[(N, k, *job, "ascending")] = value
+    return [values[job] for job in jobs]
 
 
 def elliptic_constant(N: int, k: int, d: int,

@@ -17,15 +17,34 @@ A slot value of -1 moves that endpoint power into the denominator.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .chain import residue_chain
 from .hypersurface import Hypersurface, ins_count, ins_key
 from .poly import SparsePoly, linear_form
 from .ratfun import RatExpr
 
-__all__ = ["e_poly", "w_poly", "genus0_constant"]
+__all__ = ["e_poly", "w_poly", "genus0_constant", "Genus0Chain", "chain_residue",
+           "memo"]
+
+
+@dataclass(frozen=True)
+class Genus0Chain:
+    """The chain of a degree-d genus-0 constant between endpoint slots a, b.
+
+    Paired with its p >= 2 insertions it is a job of elliptic.graph_values.
+    """
+
+    degree: int
+    a: int
+    b: int
+
+
+# Bare chain values, keyed (N, k, Genus0Chain, p >= 2 insertions, order).
+# genus0_constant reads and fills it; elliptic.graph_values fills it with the
+# values it reads from the disk cache or computes on its pool.
+memo: dict[tuple, Fraction] = {}
 
 
 def e_poly(k: int, u: int, v: int, nvars: int) -> SparsePoly:
@@ -80,12 +99,17 @@ def genus0_constant(N: int, k: int, d: int, a: int, b: int,
         return Fraction(0)
     if order not in ("ascending", "descending"):
         raise ValueError("order must be ascending or descending")
-    return mult * _chain_value(N, k, d, a, b, ins_key(ins), order)
+    key = (N, k, Genus0Chain(d, a, b), ins_key(ins), order)
+    if key not in memo:
+        memo[key] = chain_residue(*key)
+    return mult * memo[key]
 
 
-@lru_cache(maxsize=None)
-def _chain_value(N, k, d, a, b, ins_t, order):
-    f, designated = _integrand(N, k, d, a, b, ins_t)
+def chain_residue(N: int, k: int, chain: Genus0Chain, ins_t,
+                  order: str = "ascending") -> Fraction:
+    """Residue of one genus-0 chain with p >= 2 insertions, computed afresh."""
+    d = chain.degree
+    f, designated = _integrand(N, k, d, chain.a, chain.b, ins_t)
     if f.homogeneous_degree() != -(d + 1):
         raise RuntimeError("genus-0 integrand has the wrong homogeneous degree")
     interior = [(i, "both") for i in range(1, d)]

@@ -16,7 +16,7 @@ from math import factorial
 
 # elliptic_constant is unused here; perfbench/tracer.py wraps it under this name.
 from .elliptic import elliptic_constant, graph_values  # noqa: F401
-from .genus0 import genus0_constant
+from .genus0 import Genus0Chain, genus0_constant
 from .graphs import graphs_of_degree
 from .hypersurface import Hypersurface, ins_key
 from .series import TruncatedSeries, substitute
@@ -63,6 +63,13 @@ def _sym(ins: Ins) -> int:
     return out
 
 
+def _constant_sets(N: int, k: int, q_cap: int, a: int, b: int) -> list[tuple[int, Ins]]:
+    # (d, insertions) of every w(O_{h^a} O_{h^b} | ins)_{0,d}, d <= q_cap, with
+    # p >= 2 insertions that meet the selection rule
+    return [(d, ins) for d in range(1, q_cap + 1)
+            for ins in weighted_insertions(N, N - 3 - a - b + (N - k) * d)]
+
+
 def mirror_corrections(N: int, k: int, q_cap: int,
                        ps=None) -> dict[int, TruncatedSeries]:
     """Corrections C_p with t^p = x^p + C_p(x), one series per requested p.
@@ -78,11 +85,10 @@ def mirror_corrections(N: int, k: int, q_cap: int,
     out = {}
     for p in ps:
         terms = {}
-        for d in range(1, q_cap + 1):
-            for ins in weighted_insertions(N, (N - k) * d + p - 1):
-                val = genus0_constant(N, k, d, N - 2 - p, 0, ins)
-                if val:
-                    terms[(d, _exps(N, ins))] = Fraction(val, k) / _sym(ins)
+        for d, ins in _constant_sets(N, k, q_cap, N - 2 - p, 0):
+            val = genus0_constant(N, k, d, N - 2 - p, 0, ins)
+            if val:
+                terms[(d, _exps(N, ins))] = Fraction(val, k) / _sym(ins)
         out[p] = TruncatedSeries(nblocks, q_cap, terms)
     return out
 
@@ -125,10 +131,11 @@ def genus1_b_series(N: int, k: int, q_cap: int, cache=None,
     return series
 
 
-def _genus1_b(N, k, q_cap, cache, workers):
+def _genus1_b(N, k, q_cap, cache, workers, chains=()):
     # Every (d, insertion set) of the table already meets the selection rule
     # and has no p <= 1 insertion, so its constant is the bare graph sum; all
-    # graph residues of the table go through one graph_values call.
+    # graph residues of the table go through one graph_values call, and the
+    # genus-0 chain jobs a caller passes in ride along on it.
     Hypersurface(N, k)
     sets = [(d, ins) for d in range(1, q_cap + 1)
             for ins in weighted_insertions(N, (N - k) * d)]
@@ -137,8 +144,9 @@ def _genus1_b(N, k, q_cap, cache, workers):
         for graph in graphs_of_degree(d):
             jobs.append((graph, ins_key(ins)))
             owner.append(i)
+    values = graph_values(N, k, [*chains, *jobs], cache, workers)[len(chains):]
     sums = [Fraction(0)] * len(sets)
-    for i, value in zip(owner, graph_values(N, k, jobs, cache, workers)):
+    for i, value in zip(owner, values):
         sums[i] += value
     terms = {(d, _exps(N, ins)): val / _sym(ins) for (d, ins), val in zip(sets, sums)}
     raw = {(d, ins_key(ins)): val for (d, ins), val in zip(sets, sums)}
@@ -152,11 +160,10 @@ def genus0_pair_series(N: int, k: int, q_cap: int, a: int, b: int) -> TruncatedS
     """
     nblocks = N - 3
     terms = {}
-    for d in range(1, q_cap + 1):
-        for ins in weighted_insertions(N, N - 3 - a - b + (N - k) * d):
-            val = genus0_constant(N, k, d, a, b, ins)
-            if val:
-                terms[(d, _exps(N, ins))] = val / _sym(ins)
+    for d, ins in _constant_sets(N, k, q_cap, a, b):
+        val = genus0_constant(N, k, d, a, b, ins)
+        if val:
+            terms[(d, _exps(N, ins))] = val / _sym(ins)
     return TruncatedSeries(nblocks, q_cap, terms)
 
 
@@ -188,10 +195,16 @@ def gw_table(N: int, k: int, d_max: int, cache=None, workers: int = 1) -> list[G
     X = Hypersurface(N, k)
     nblocks = N - 3
     q_cap = d_max
+    # One planner call evaluates every residue chain of the table: the
+    # genus-0 chains of the mirror map and of the N = 5 pair series land in
+    # genus0.memo, where the genus0_constant calls below read them.
+    slots = [(N - 2 - p, 0) for p in range(1, N - 1)] + ([(1, 1)] if N == 5 else [])
+    chains = [(Genus0Chain(d, a, b), ins_key(ins)) for a, b in slots
+              for d, ins in _constant_sets(N, k, q_cap, a, b)]
+    f1b, w1_raw = _genus1_b(N, k, q_cap, cache, workers, chains)
     D = invert_corrections(mirror_corrections(N, k, q_cap))
     blocks = [TruncatedSeries.block(a, nblocks, q_cap) + D[a + 2]
               for a in range(nblocks)]
-    f1b, w1_raw = _genus1_b(N, k, q_cap, cache, workers)
     f1a = substitute(f1b, D[1], blocks) - \
         D[1].scale(Fraction(X.genus1_linear_coeff(), 24))
     if N == 5:

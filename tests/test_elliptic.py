@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vsc.cache import ResidueCache
+from vsc.cache import ResidueCache, graph_key
 from vsc.elliptic import _graph_terms, elliptic_constant, graph_residue
 from vsc.graphs import (
     ClusterStarGraph,
@@ -151,7 +151,7 @@ def test_cache_never_serves_another_schema(tmp_path, monkeypatch):
 
     cache = ResidueCache(tmp_path)
     for graph in ("star(1)", "point(1)"):
-        cache.put(4, 1, 1, graph, "2:3", Fraction(100))
+        cache.put(graph_key(4, 1, 1, graph, "2:3"), Fraction(100))
     # under the schema they were written with, the records are served as is
     assert elliptic_constant(4, 1, 1, {2: 3}, cache=cache) == 200
     monkeypatch.setattr(vsc.cache, "SCHEMA", vsc.cache.SCHEMA + 1)
