@@ -20,7 +20,7 @@ from .series import TruncatedSeries
 def _series_str(series: TruncatedSeries, block_offset: int = 2) -> str:
     """Render a series as signed `c q^d x2^e ...` terms."""
     parts = []
-    for (d, exps), c in sorted(series.terms.items()):
+    for (d, exps), c in series.items():
         factors = []
         if abs(c) != 1 or (d == 0 and not any(exps)):
             factors.append(fraction_str(abs(c)))
@@ -30,18 +30,18 @@ def _series_str(series: TruncatedSeries, block_offset: int = 2) -> str:
             if e:
                 name = f"x{a + block_offset}"
                 factors.append(name if e == 1 else f"{name}^{e}")
-        term = " ".join(factors)
-        if not parts:
-            parts.append(("-" if c < 0 else "") + term)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + term)
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + " ".join(factors))
     return " ".join(parts) if parts else "0"
 
 
-def _threads(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(minimum: int):
+    """argparse type for a decimal integer of at least ``minimum``."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"need an integer >= {minimum}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _add_cache_args(parser):
@@ -50,7 +50,7 @@ def _add_cache_args(parser):
                              "(default: $VSC_CACHE or .vsc-cache)")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the residue cache")
-    parser.add_argument("--threads", type=_threads, default=os.cpu_count() or 1,
+    parser.add_argument("--threads", type=_int_at_least(1), default=os.cpu_count() or 1,
                         help="worker processes for independent residues "
                              "(default: all cores)")
 
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     mirror = sub.add_parser("mirror", help="mirror map corrections")
     mirror.add_argument("--N", type=int, required=True)
     mirror.add_argument("--k", type=int, required=True)
-    mirror.add_argument("--qcap", type=int, required=True)
+    mirror.add_argument("--qcap", type=_int_at_least(0), required=True)
     mirror.add_argument("--inverse", action="store_true",
                         help="print x(t) instead of t(x)")
     mirror.add_argument("--format", choices=("text", "json"), default="text")
@@ -197,14 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     gw = sub.add_parser("gw", help="Gromov-Witten table for a Fano target")
     gw.add_argument("--N", type=int, required=True)
     gw.add_argument("--k", type=int, required=True)
-    gw.add_argument("--dmax", type=int, required=True)
+    gw.add_argument("--dmax", type=_int_at_least(0), required=True)
     gw.add_argument("--format", choices=("tsv", "json"), default="tsv")
     _add_cache_args(gw)
     gw.set_defaults(func=_cmd_gw)
 
     bcov = sub.add_parser("bcov", help="Calabi-Yau genus-1 series and checks")
     bcov.add_argument("--k", type=int, required=True)
-    bcov.add_argument("--dmax", type=int, required=True)
+    bcov.add_argument("--dmax", type=_int_at_least(0), required=True)
     bcov.add_argument("--check", action="store_true",
                       help="verify the genus-1 identities degree by degree")
     bcov.add_argument("--format", choices=("text", "json"), default="text")

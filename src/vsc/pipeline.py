@@ -79,18 +79,10 @@ def mirror_corrections(N: int, k: int, q_cap: int,
     default p runs over 1..N-2, the coordinates the inversion needs.
     """
     Hypersurface(N, k)
-    nblocks = N - 3
     if ps is None:
         ps = range(1, N - 1)
-    out = {}
-    for p in ps:
-        terms = {}
-        for d, ins in _constant_sets(N, k, q_cap, N - 2 - p, 0):
-            val = genus0_constant(N, k, d, N - 2 - p, 0, ins)
-            if val:
-                terms[(d, _exps(N, ins))] = Fraction(val, k) / _sym(ins)
-        out[p] = TruncatedSeries(nblocks, q_cap, terms)
-    return out
+    return {p: genus0_pair_series(N, k, q_cap, N - 2 - p, 0).scale(Fraction(1, k))
+            for p in ps}
 
 
 def invert_corrections(corrections: dict[int, TruncatedSeries]) -> dict[int, TruncatedSeries]:
@@ -104,8 +96,7 @@ def invert_corrections(corrections: dict[int, TruncatedSeries]) -> dict[int, Tru
     nblocks, q_cap = sample.nblocks, sample.q_cap
     if sorted(corrections) != list(range(1, nblocks + 2)):
         raise ValueError("inversion needs corrections for p = 1..N-2")
-    zero = TruncatedSeries.zero(nblocks, q_cap)
-    D = {p: zero for p in corrections}
+    D = {p: TruncatedSeries.zero(nblocks, q_cap) for p in corrections}
 
     def step(cur):
         blocks = [TruncatedSeries.block(a, nblocks, q_cap) + cur[a + 2]
@@ -158,13 +149,9 @@ def genus0_pair_series(N: int, k: int, q_cap: int, a: int, b: int) -> TruncatedS
 
     The classical piece k x^{N-2-a-b} is again left to the caller.
     """
-    nblocks = N - 3
-    terms = {}
-    for d, ins in _constant_sets(N, k, q_cap, a, b):
-        val = genus0_constant(N, k, d, a, b, ins)
-        if val:
-            terms[(d, _exps(N, ins))] = val / _sym(ins)
-    return TruncatedSeries(nblocks, q_cap, terms)
+    return TruncatedSeries(N - 3, q_cap, {
+        (d, _exps(N, ins)): genus0_constant(N, k, d, a, b, ins) / _sym(ins)
+        for d, ins in _constant_sets(N, k, q_cap, a, b)})
 
 
 @dataclass

@@ -25,7 +25,7 @@ multiplies plain ints and the two contents and needs no gcd pass.  A sum
 brings both contents to a common one, adds integers, and takes one gcd.
 Division by a linear factor divides the primitive parts, which is exact over
 the integers whenever it is exact at all.  All arithmetic is exact.  Only
-this module knows the layout; ``items()`` is the layout-free view.
+this module knows the layout; ``items()`` and ``coefficient()`` hide it.
 """
 
 from __future__ import annotations
@@ -49,6 +49,11 @@ def _check_degree(d: int) -> None:
     if d > MAX_DEGREE:
         raise ValueError(
             f"total degree {d} exceeds the packed exponent limit {MAX_DEGREE}")
+
+
+def _pack(e: Exponents, nvars: int) -> int:
+    """Packed key of the monomial x^e."""
+    return sum(k << (_BITS * i) for i, k in enumerate(e)) | (sum(e) << (_BITS * nvars))
 
 
 def _unit(v: int, nvars: int) -> int:
@@ -85,8 +90,7 @@ class SparsePoly:
             _check_degree(sum(e))
             c = Fraction(c)
             if c:
-                fracs[sum(k << (_BITS * i) for i, k in enumerate(e))
-                      | (sum(e) << (_BITS * nvars))] = c
+                fracs[_pack(e, nvars)] = c
         den = lcm(*(c.denominator for c in fracs.values()))
         p = SparsePoly._make(nvars, {e: c.numerator * (den // c.denominator)
                                      for e, c in fracs.items()}, Fraction(1, den))
@@ -138,6 +142,14 @@ class SparsePoly:
         n, content = self.nvars, self.content
         for e, c in self.terms.items():
             yield tuple((e >> (_BITS * i)) & MAX_DEGREE for i in range(n)), content * c
+
+    def coefficient(self, e: Exponents) -> Fraction:
+        """Rational coefficient of x^e, 0 when the term is absent."""
+        if len(e) != self.nvars:
+            raise ValueError(f"exponent tuple {e} does not match nvars={self.nvars}")
+        if min(e, default=0) < 0 or sum(e) > MAX_DEGREE:
+            return _ZERO
+        return self.content * self.terms.get(_pack(e, self.nvars), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -240,6 +252,32 @@ class SparsePoly:
                                self.content * other.content)
 
     __rmul__ = __mul__
+
+    def mul_capped(self, other: SparsePoly, v: int, cap: int) -> SparsePoly:
+        """self * other without the terms of degree above ``cap`` in variable ``v``.
+
+        Only the pairs of terms within the cap are multiplied.  Dropping terms
+        can leave a common factor, so the result is normalized again.
+        """
+        n, shift, top = self.nvars, _BITS * v, _BITS * self.nvars
+        _check_degree((max(self.terms, default=0) >> top)
+                      + (max(other.terms, default=0) >> top))
+        by_deg: list[list[tuple[int, int]]] = [[] for _ in range(cap + 1)]
+        for e, c in other.terms.items():
+            if (e >> shift) & MAX_DEGREE <= cap:
+                by_deg[(e >> shift) & MAX_DEGREE].append((e, c))
+        out: dict[int, int] = {}
+        get = out.get
+        for ea, ca in self.terms.items():
+            da = (ea >> shift) & MAX_DEGREE
+            if da > cap:
+                continue
+            for group in by_deg[:cap + 1 - da]:
+                for eb, cb in group:
+                    e = ea + eb
+                    out[e] = get(e, 0) + ca * cb
+        return SparsePoly._make(n, {e: c for e, c in out.items() if c},
+                                self.content * other.content)
 
     def __pow__(self, n: int) -> SparsePoly:
         if n < 0:

@@ -1,10 +1,13 @@
 """Truncated series in q = e^{x^1} with polynomial block coefficients.
 
-A term is q^d * prod_a (x^{a})^{e_a} with an exact rational coefficient,
-where the block variables x^a range over the insertion slots 2..N-2 of the
-ambient problem (nblocks = N - 3, possibly 0).  Truncation happens only in
-the q-direction: block exponents stay exact, so every operation here is
-exact over the rationals up to the stated q_cap.
+A series is one ``SparsePoly`` in nblocks + 1 variables, capped in q:
+variable 0 is q and the block variables x^a that follow it range over the
+insertion slots 2..N-2 of the ambient problem (nblocks = N - 3, possibly 0).
+A term q^d * prod_a (x^{a})^{e_a} has an exact rational coefficient.  Every
+operation drops the terms above q^{q_cap} and nothing else: block exponents
+stay exact, so every operation here is exact over the rationals up to the
+stated q_cap.  The arithmetic is the kernel's; this module knows nothing of
+its layout.
 
 The q^0 layer may hold block polynomials (mirror maps have none, two-point
 functions do), but exp/log/inverse require the usual normalizations and
@@ -15,28 +18,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .poly import SparsePoly
+
 Key = tuple[int, tuple[int, ...]]
 
 __all__ = ["TruncatedSeries", "substitute"]
 
 
 class TruncatedSeries:
-    __slots__ = ("nblocks", "q_cap", "terms")
+    __slots__ = ("nblocks", "q_cap", "poly")
 
     def __init__(self, nblocks: int, q_cap: int,
                  terms: dict[Key, Fraction] | None = None):
         if nblocks < 0 or q_cap < 0:
             raise ValueError("nblocks and q_cap must be non-negative")
-        self.nblocks = nblocks
-        self.q_cap = q_cap
-        clean: dict[Key, Fraction] = {}
-        for (d, exps), c in (terms or {}).items():
-            if d > q_cap or not c:
-                continue
-            if len(exps) != nblocks:
-                raise ValueError("block exponent tuple has wrong length")
-            clean[(d, tuple(exps))] = Fraction(c)
-        self.terms = clean
+        self.nblocks, self.q_cap = nblocks, q_cap
+        self.poly = SparsePoly(nblocks + 1, {(d, *exps): c for (d, exps), c
+                                             in (terms or {}).items() if d <= q_cap})
 
     @classmethod
     def zero(cls, nblocks: int, q_cap: int) -> "TruncatedSeries":
@@ -48,66 +46,53 @@ class TruncatedSeries:
 
     @classmethod
     def block(cls, index: int, nblocks: int, q_cap: int) -> "TruncatedSeries":
-        exps = [0] * nblocks
-        exps[index] += 1
-        return cls(nblocks, q_cap, {(0, tuple(exps)): Fraction(1)})
+        return cls(nblocks, q_cap, {(0, tuple(int(a == index) for a in range(nblocks))): 1})
 
     @classmethod
     def q_power(cls, d: int, nblocks: int, q_cap: int) -> "TruncatedSeries":
         return cls(nblocks, q_cap, {(d, (0,) * nblocks): Fraction(1)})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.poly.is_zero()
+
+    def items(self) -> list[tuple[Key, Fraction]]:
+        """((d, block exponents), coefficient) pairs, sorted by key."""
+        return sorted(((e[0], e[1:]), c) for e, c in self.poly.items())
 
     def coefficient(self, d: int, exps: tuple[int, ...] | None = None) -> Fraction:
-        if exps is None:
-            exps = (0,) * self.nblocks
-        return self.terms.get((d, tuple(exps)), Fraction(0))
+        return self.poly.coefficient((d, *((0,) * self.nblocks if exps is None else exps)))
 
-    def q_layer(self, d: int) -> dict[tuple[int, ...], Fraction]:
-        """Block polynomial sitting at q^d, as an exponent-to-coefficient map."""
-        return {exps: c for (dd, exps), c in self.terms.items() if dd == d}
-
-    def min_q_degree(self) -> int | None:
-        return min((d for d, _ in self.terms), default=None)
-
-    def _like(self, terms) -> "TruncatedSeries":
-        return TruncatedSeries(self.nblocks, self.q_cap, terms)
+    def _like(self, poly: SparsePoly) -> "TruncatedSeries":
+        out = TruncatedSeries.__new__(TruncatedSeries)
+        out.nblocks, out.q_cap, out.poly = self.nblocks, self.q_cap, poly
+        return out
 
     def _check(self, other: "TruncatedSeries"):
         if self.nblocks != other.nblocks or self.q_cap != other.q_cap:
             raise ValueError("series shapes differ")
 
+    def _head(self) -> SparsePoly:
+        """The block polynomial at q^0: the product with 1, capped at q^0."""
+        return self.poly.mul_capped(SparsePoly.constant(1, self.nblocks + 1), 0, 0)
+
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return self._like(out)
+        return self._like(self.poly + other.poly)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def __neg__(self) -> "TruncatedSeries":
-        return self._like({key: -c for key, c in self.terms.items()})
+        return self._like(-self.poly)
 
     def scale(self, value) -> "TruncatedSeries":
-        value = Fraction(value)
-        return self._like({key: c * value for key, c in self.terms.items()})
+        return self._like(self.poly.scale(value))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out: dict[Key, Fraction] = {}
-        for (d1, e1), c1 in self.terms.items():
-            for (d2, e2), c2 in other.terms.items():
-                d = d1 + d2
-                if d > self.q_cap:
-                    continue
-                key = (d, tuple(x + y for x, y in zip(e1, e2)))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return self._like(out)
+        return self._like(self.poly.mul_capped(other.poly, 0, self.q_cap))
 
     __rmul__ = __mul__
 
@@ -115,28 +100,23 @@ class TruncatedSeries:
         if n < 0:
             raise ValueError("negative powers go through inverse()")
         out = TruncatedSeries.constant(1, self.nblocks, self.q_cap)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            out = out * self
         return out
 
     def exp(self) -> "TruncatedSeries":
-        if self.min_q_degree() == 0:
+        if not self._head().is_zero():
             raise ValueError("exp needs a series with no q^0 part")
         # Horner form of sum A^j / j!
-        out = TruncatedSeries.constant(1, self.nblocks, self.q_cap)
+        one = out = TruncatedSeries.constant(1, self.nblocks, self.q_cap)
         for j in range(self.q_cap, 0, -1):
-            out = TruncatedSeries.constant(1, self.nblocks, self.q_cap) + \
-                (self * out).scale(Fraction(1, j))
+            out = one + (self * out).scale(Fraction(1, j))
         return out
 
     def log(self) -> "TruncatedSeries":
         one = TruncatedSeries.constant(1, self.nblocks, self.q_cap)
         v = self - one
-        if v.min_q_degree() == 0:
+        if not v._head().is_zero():
             raise ValueError("log needs constant term exactly 1")
         # Horner form of sum (-1)^{j+1} v^j / j
         out = TruncatedSeries.zero(self.nblocks, self.q_cap)
@@ -145,35 +125,29 @@ class TruncatedSeries:
         return v * out
 
     def inverse(self) -> "TruncatedSeries":
-        c0 = self.coefficient(0)
-        head = self.q_layer(0)
-        if set(head) - {(0,) * self.nblocks}:
+        head = self._head()
+        if not head.is_constant():
             raise ValueError("inverse needs a constant q^0 part")
+        c0 = head.constant_value()
         if not c0:
             raise ValueError("inverse needs a nonzero constant term")
-        v = self.scale(Fraction(1, c0)) - TruncatedSeries.constant(1, self.nblocks, self.q_cap)
-        out = TruncatedSeries.constant(1, self.nblocks, self.q_cap)
+        one = out = TruncatedSeries.constant(1, self.nblocks, self.q_cap)
+        v = self.scale(Fraction(1, c0)) - one
         for _ in range(self.q_cap):
-            out = TruncatedSeries.constant(1, self.nblocks, self.q_cap) - v * out
+            out = one - v * out
         return out.scale(Fraction(1, c0))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, TruncatedSeries)
-                and self.nblocks == other.nblocks
-                and self.q_cap == other.q_cap
-                and self.terms == other.terms)
+        return isinstance(other, TruncatedSeries) and \
+            (self.nblocks, self.q_cap, self.poly) == (other.nblocks, other.q_cap, other.poly)
 
     def __repr__(self) -> str:
         return (f"TruncatedSeries(nblocks={self.nblocks}, q_cap={self.q_cap}, "
-                f"terms={len(self.terms)})")
+                f"terms={len(self.poly.terms)})")
 
     def to_json(self) -> dict:
-        items = sorted(self.terms.items())
-        return {
-            "nblocks": self.nblocks,
-            "q_cap": self.q_cap,
-            "terms": [[d, list(exps), str(c)] for (d, exps), c in items],
-        }
+        return {"nblocks": self.nblocks, "q_cap": self.q_cap,
+                "terms": [[d, list(exps), str(c)] for (d, exps), c in self.items()]}
 
     @classmethod
     def from_json(cls, data: dict) -> "TruncatedSeries":
@@ -192,8 +166,7 @@ def substitute(series: TruncatedSeries, q_shift: TruncatedSeries,
         raise ValueError("need one block series per block variable")
     nblocks, q_cap = series.nblocks, series.q_cap
     for s in (q_shift, *blocks):
-        if s.nblocks != nblocks or s.q_cap != q_cap:
-            raise ValueError("series shapes differ")
+        series._check(s)
     exp_shift = q_shift.exp()
     exp_pows = [TruncatedSeries.constant(1, nblocks, q_cap)]
     block_pows: list[dict[int, TruncatedSeries]] = [
@@ -206,7 +179,7 @@ def substitute(series: TruncatedSeries, q_shift: TruncatedSeries,
         return cache[e]
 
     out = TruncatedSeries.zero(nblocks, q_cap)
-    for (d, exps), c in sorted(series.terms.items()):
+    for (d, exps), c in series.items():
         while len(exp_pows) <= d:
             exp_pows.append(exp_pows[-1] * exp_shift)
         term = TruncatedSeries.q_power(d, nblocks, q_cap) * exp_pows[d]

@@ -8,6 +8,7 @@ from vsc.genus0 import _integrand
 from vsc.hypersurface import Hypersurface, ins_key
 from vsc.poly import SparsePoly
 from vsc.ratfun import RatExpr
+from vsc.series import TruncatedSeries
 
 
 def poly_mul(a: SparsePoly, b: SparsePoly) -> SparsePoly:
@@ -30,6 +31,32 @@ def poly_add(a: SparsePoly, b: SparsePoly) -> SparsePoly:
     for e, c in b.items():
         out[e] = out.get(e, 0) + c
     return SparsePoly(a.nvars, out)
+
+
+def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a * b by the pair loop over (d, exps) keys and Fraction coefficients.
+
+    Drops the pairs whose q degrees add up past the cap.  An independent
+    reference for the capped kernel product behind TruncatedSeries.
+    """
+    bt = b.items()
+    out: dict = {}
+    for (d1, e1), c1 in a.items():
+        for (d2, e2), c2 in bt:
+            d = d1 + d2
+            if d > a.q_cap:
+                continue
+            key = (d, tuple(x + y for x, y in zip(e1, e2)))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return TruncatedSeries(a.nblocks, a.q_cap, out)
+
+
+def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a + b term by term over (d, exps) keys."""
+    out = dict(a.items())
+    for key, c in b.items():
+        out[key] = out.get(key, Fraction(0)) + c
+    return TruncatedSeries(a.nblocks, a.q_cap, out)
 
 
 def poly_divide_exact_linear(p: SparsePoly, form: SparsePoly) -> SparsePoly | None:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from vsc.cli import main
 
 
@@ -85,6 +87,16 @@ def test_validation_exit_code(capsys):
                        "--no-cache")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--dmax", ("gw", "--N", "5", "--k", "1", "--dmax", "-3", "--no-cache")),
+    ("--qcap", ("mirror", "--N", "5", "--k", "1", "--qcap", "-1")),
+])
+def test_bad_flag_is_named(capsys, flag, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"argument {flag}" in err
 
 
 def test_tsv_and_json_carry_the_same_records(capsys):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from vsc.series import TruncatedSeries, substitute
 
+from oracles import series_add, series_mul
+
 
 def test_constructors_and_coefficients():
     s = TruncatedSeries(1, 3, {(1, (2,)): Fraction(5), (4, (0,)): Fraction(9)})
@@ -15,6 +17,15 @@ def test_constructors_and_coefficients():
     assert TruncatedSeries.constant(7, 2, 1).coefficient(0) == 7
     b = TruncatedSeries.block(1, 2, 1)
     assert b.coefficient(0, (0, 1)) == 1
+
+
+def test_negative_exponents_rejected():
+    with pytest.raises(ValueError):
+        TruncatedSeries(0, 3, {(-1, ()): 1})
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_json({"nblocks": 0, "q_cap": 2, "terms": [[-2, [], "1/2"]]})
+    with pytest.raises(ValueError):
+        TruncatedSeries(1, 3, {(1, (-1,)): 1})
 
 
 def test_shape_mismatch_rejected():
@@ -145,3 +156,26 @@ def test_substitute_scalar_exponential_shift():
 def test_json_roundtrip():
     s = TruncatedSeries(2, 3, {(1, (1, 0)): Fraction(3, 7), (3, (0, 5)): Fraction(-2)})
     assert TruncatedSeries.from_json(s.to_json()) == s
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series of one shape, each with block content at q^0 and a term at the cap."""
+    nblocks = draw(st.integers(0, 2))
+    q_cap = draw(st.integers(0, 4))
+    keys = st.tuples(st.integers(0, q_cap), st.tuples(*[st.integers(0, 2)] * nblocks))
+    pair = []
+    for _ in range(2):
+        terms = draw(st.dictionaries(keys, small_fracs, max_size=6))
+        terms[(0, (1,) * nblocks)] = draw(small_fracs)
+        terms[(q_cap, (0,) * nblocks)] = draw(small_fracs)
+        pair.append(TruncatedSeries(nblocks, q_cap, terms))
+    return pair
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_pairs())
+def test_mul_and_add_match_the_tuple_oracle(pair):
+    a, b = pair
+    assert a * b == series_mul(a, b)
+    assert a + b == series_add(a, b)
