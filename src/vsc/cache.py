@@ -22,8 +22,9 @@ from pathlib import Path
 __all__ = ["ResidueCache", "default_cache_dir", "graph_key", "chain_key"]
 
 ENV_VAR = "VSC_CACHE"
-# Bump whenever a graph integrand in elliptic.py or the chain integrand
-# genus0._integrand changes the value it yields.
+# Bump whenever an integrand changes the value it yields: a layout in
+# elliptic.py or genus0._integrand, or the shared builders genus0.numerator
+# and genus0.midpoint that assemble every one of them.
 SCHEMA = 1
 
 _DECIMAL = re.compile(r"-?[0-9]+")

@@ -14,6 +14,12 @@ own variable layout together with a residue schedule:
            for Fano targets with insertions they contribute;
   point    single variable, residue at 0.
 
+Each builder only describes its layout; genus0.numerator and
+genus0.midpoint assemble the integrand from it.  A star or cluster tail is
+a path that hangs on the core, a loop is a cycle, a cluster adds the edge
+(w, core) and a self-loop of weight f - 1 on the core, and a point is one
+vertex with a self-loop of weight d.
+
 Insertions with p = 0 kill the constant and each p = 1 insertion multiplies
 it by d; both are applied analytically before the graph sum.
 
@@ -28,7 +34,7 @@ from fractions import Fraction
 
 from .cache import ResidueCache, chain_key, graph_key
 from .chain import residue_chain
-from .genus0 import Genus0Chain, chain_residue, e_poly, memo, w_poly
+from .genus0 import Genus0Chain, chain_residue, memo, midpoint, numerator
 from .graphs import (
     ClusterStarGraph,
     Graph,
@@ -49,52 +55,28 @@ __all__ = ["elliptic_constant", "graph_residue", "graph_values"]
 InsT = tuple[tuple[int, int], ...]
 
 
-def _accumulated_form(parts: list[tuple[int, int]], n: int) -> SparsePoly:
-    # linear form with repeated indices accumulated (cyclic layouts need this)
-    coeffs: dict[int, int] = {}
-    for v, c in parts:
-        coeffs[v] = coeffs.get(v, 0) + c
-    return linear_form({v: c for v, c in coeffs.items() if c}, n)
+def _hang_tails(N: int, n: int, core: int, sigma: tuple[int, ...], den,
+                designated, steps) -> list[tuple[int, int]]:
+    """Hang one path per part of sigma on the core; returns its edges.
 
-
-def _tail_indices(sigma: tuple[int, ...], first: int) -> list[list[int]]:
-    out = []
-    pos = first
+    The tail vertices follow the core in index order.  Each tail adds the
+    factor (first vertex - core) to the denominator, and a midpoint and a
+    "both" step for every vertex but its end, which takes z^N and a "zero"
+    step.
+    """
+    edges: list[tuple[int, int]] = []
+    first = core + 1
     for part in sigma:
-        out.append(list(range(pos, pos + part)))
-        pos += part
-    return out
-
-
-def _tail_pieces(k, N, n, core, tails, num, den, designated, steps):
-    """Attach the rational-tail factors shared by star and cluster layouts."""
-    for tail in tails:
-        num = num * e_poly(k, core, tail[0], n)
-        den.append((_accumulated_form([(tail[0], 1), (core, -1)], n), 1))
-        for j in range(len(tail) - 1):
-            num = num * e_poly(k, tail[j], tail[j + 1], n)
-        for j, v in enumerate(tail):
-            last = j == len(tail) - 1
-            den.append((SparsePoly.variable(v, n), N if last else N + 1))
-            if not last:
-                left = core if j == 0 else tail[j - 1]
-                g = _accumulated_form([(v, 2), (left, -1), (tail[j + 1], -1)], n)
-                den.append((g, 1))
-                designated[v] = g
-                steps.append((v, "both"))
-            else:
-                steps.append((v, "zero"))
-    return num
-
-
-def _tail_insertion_sum(a, k, n, core, tails) -> SparsePoly:
-    s = SparsePoly.zero(n)
-    for tail in tails:
-        prev = core
-        for v in tail:
-            s = s + w_poly(a, prev, v, n)
-            prev = v
-    return s
+        path = [core, *range(first, first + part)]
+        first += part
+        edges += zip(path, path[1:])
+        den.append((linear_form({path[1]: 1, core: -1}, n), 1))
+        for left, v, right in zip(path, path[1:], path[2:]):
+            midpoint(N, n, v, left, right, den, designated)
+            steps.append((v, "both"))
+        den.append((SparsePoly.variable(path[-1], n), N))
+        steps.append((path[-1], "zero"))
+    return edges
 
 
 def _star_terms(N: int, k: int, sigma: tuple[int, ...], ins_t: InsT):
@@ -102,46 +84,29 @@ def _star_terms(N: int, k: int, sigma: tuple[int, ...], ins_t: InsT):
     d, l = sum(sigma), len(sigma)
     n = 1 + d
     core = 0
-    tails = _tail_indices(sigma, 1)
     scalar = sym_factor(sigma) * Fraction(X.top_chern_coeff(), 24) / k ** (d - 1)
-    num = SparsePoly.constant(scalar, n) * SparsePoly.variable(core, n) ** (N - 2)
     den: list[tuple[SparsePoly, int]] = [(SparsePoly.variable(core, n), N + l - 1)]
     designated: dict[int, SparsePoly] = {}
     steps: list[tuple[int, str]] = [(core, "zero")]
-    num = _tail_pieces(k, N, n, core, tails, num, den, designated, steps)
-    for a, m in ins_t:
-        num = num * _tail_insertion_sum(a, k, n, core, tails) ** m
+    edges = _hang_tails(N, n, core, sigma, den, designated, steps)
+    num = numerator(k, n, scalar, (N - 2,) + (0,) * d, edges, ins_t, {})
     return [(RatExpr(num, den), steps, designated)]
 
 
 def _loop_terms(N: int, k: int, d: int, ins_t: InsT):
-    n = d
-    scalar = Fraction(1, 2 * d) / k**d
-    num = SparsePoly.constant(scalar, n)
-    for t in range(d):
-        num = num * e_poly(k, t, (t + 1) % d, n)
-    for a, m in ins_t:
-        s = SparsePoly.zero(n)
-        for t in range(d):
-            s = s + w_poly(a, t, (t + 1) % d, n)
-        num = num * s**m
     den: list[tuple[SparsePoly, int]] = []
     designated: dict[int, SparsePoly] = {}
-    steps: list[tuple[int, str]] = []
     for t in range(d):
-        den.append((SparsePoly.variable(t, n), N + 1))
-        g = _accumulated_form([(t, 2), ((t - 1) % d, -1), ((t + 1) % d, -1)], n)
-        den.append((g, 1))
-        designated[t] = g
-        steps.append((t, "both"))
-    return [(RatExpr(num, den), steps, designated)]
+        midpoint(N, d, t, (t - 1) % d, (t + 1) % d, den, designated)
+    edges = [(t, (t + 1) % d) for t in range(d)]
+    num = numerator(k, d, Fraction(1, 2 * d) / k**d, (0,) * d, edges, ins_t, {})
+    return [(RatExpr(num, den), [(t, "both") for t in range(d)], designated)]
 
 
 def _cluster_terms(N: int, k: int, f: int, sigma: tuple[int, ...], ins_t: InsT):
     d, l = f + sum(sigma), len(sigma)
     n = 2 + sum(sigma)
     w, core = 0, 1
-    tails = _tail_indices(sigma, 2)
     # The cluster vertex has valence l + 1 (l tails plus the edge to w), so its
     # vertex factor carries (k z_core)^l, one power more than an elliptic core.
     # With l - 1 the integrand would sit one degree too high and every chain
@@ -149,20 +114,18 @@ def _cluster_terms(N: int, k: int, f: int, sigma: tuple[int, ...], ins_t: InsT):
     # count of the chain, and it keeps the N = k case at zero.
     scalar = sym_factor(sigma) * Fraction(1, 24) * Fraction(k) ** (k * (f - 1) - 1) / k ** (
         l) / k ** (d - f - l)
-    num = SparsePoly.constant(scalar, n) * e_poly(k, w, core, n)
-    num = num * SparsePoly.variable(core, n) ** (k * (f - 1))
+    contracted = linear_form({w: 1, core: -1}, n)
     den: list[tuple[SparsePoly, int]] = [
-        (_accumulated_form([(w, 1), (core, -1)], n), 2),
+        (contracted, 2),
         (SparsePoly.variable(w, n), 1),
         (SparsePoly.variable(core, n), l + N * (f - 1)),
     ]
-    designated: dict[int, SparsePoly] = {w: _accumulated_form([(w, 1), (core, -1)], n)}
+    designated: dict[int, SparsePoly] = {w: contracted}
     steps: list[tuple[int, str]] = [(w, "root"), (core, "zero")]
-    num = _tail_pieces(k, N, n, core, tails, num, den, designated, steps)
-    for a, m in ins_t:
-        s = w_poly(a, w, core, n) + w_poly(a, core, core, n).scale(f - 1)
-        s = s + _tail_insertion_sum(a, k, n, core, tails)
-        num = num * s**m
+    # the contracted loop is the edge (w, core) and a self-loop of weight f - 1
+    edges = [(w, core)] + _hang_tails(N, n, core, sigma, den, designated, steps)
+    mono = (0, k * (f - 1)) + (0,) * sum(sigma)
+    num = numerator(k, n, scalar, mono, edges, ins_t, {core: f - 1})
     half_a = RatExpr(num.scale(Fraction(-(N - 1), N)),
                      den + [(SparsePoly.variable(w, n), N)])
     half_b = RatExpr(num.scale(Fraction(-(N + 1), N)),
@@ -171,13 +134,10 @@ def _cluster_terms(N: int, k: int, f: int, sigma: tuple[int, ...], ins_t: InsT):
 
 
 def _point_terms(N: int, k: int, d: int, ins_t: InsT):
-    n = 1
-    z = SparsePoly.variable(0, n)
-    num = SparsePoly.constant(r_factor(N, k, d) * Fraction(k) ** (k * d) / 24, n)
-    num = num * z ** (k * d)
-    for a, m in ins_t:
-        num = num * (w_poly(a, 0, 0, n).scale(d)) ** m
-    den = [(z, N * d + 1)]
+    # one vertex carrying a self-loop of weight d
+    scalar = r_factor(N, k, d) * Fraction(k) ** (k * d) / 24
+    num = numerator(k, 1, scalar, (k * d,), [], ins_t, {0: d})
+    den = [(SparsePoly.variable(0, 1), N * d + 1)]
     return [(RatExpr(num, den), [(0, "zero")], {})]
 
 

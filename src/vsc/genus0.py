@@ -13,6 +13,12 @@ w_p(x, y) = sum_{j=0}^{p-1} x^j y^{p-1-j}.  The endpoints z_0, z_d only have
 poles at 0; each interior z_i also at the root of its factor
 (2 z_i - z_{i-1} - z_{i+1}) as evolved by the earlier substitutions.
 A slot value of -1 moves that endpoint power into the denominator.
+
+Every residue-chain integrand of either genus is described by its layout:
+a vertex monomial, a list of edges and self-loop weights, which
+``numerator`` turns into the numerator, and one ``midpoint`` call per
+interior chain vertex for its denominator piece.  The genus-0 chain is the
+path 0, 1, ..., d; elliptic.py describes the genus-1 graphs the same way.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from .hypersurface import Hypersurface, ins_count, ins_key
 from .poly import SparsePoly, linear_form
 from .ratfun import RatExpr
 
-__all__ = ["e_poly", "w_poly", "genus0_constant", "Genus0Chain", "chain_residue",
-           "memo"]
+__all__ = ["e_poly", "w_poly", "numerator", "midpoint", "genus0_constant", "Genus0Chain",
+           "chain_residue", "memo"]
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,44 @@ def w_poly(p: int, u: int, v: int, nvars: int) -> SparsePoly:
     return out
 
 
+def numerator(k: int, n: int, scalar, mono: tuple[int, ...], edges, ins_t,
+              loops: dict[int, int]) -> SparsePoly:
+    """scalar * x^mono * prod_{(u,v) in edges} e_k(x_u, x_v) * prod_p s_p^{m_p}.
+
+    The insertion sum of a layout is s_p = sum_{(u,v) in edges} w_p(x_u, x_v)
+    + sum_v loops[v] w_p(x_v, x_v).  One accumulator takes one small factor
+    at a time, edges first, so no two large polynomials are ever multiplied:
+    for dense powers this beats squaring (Fateman, "On the computation of
+    powers of sparse polynomials", Stud. Appl. Math. 53, 1974).
+    """
+    acc = SparsePoly(n, {mono: scalar})
+    for u, v in edges:
+        acc = acc * e_poly(k, u, v, n)
+    for p, m in ins_t:
+        s = SparsePoly.zero(n)
+        for u, v in edges:
+            s = s + w_poly(p, u, v, n)
+        for v, c in loops.items():
+            s = s + w_poly(p, v, v, n).scale(c)
+        for _ in range(m):
+            acc = acc * s
+    return acc
+
+
+def midpoint(N: int, n: int, v: int, left: int, right: int,
+             den: list[tuple[SparsePoly, int]],
+             designated: dict[int, SparsePoly]) -> None:
+    """Add the denominator piece of interior chain vertex v between left and right.
+
+    That is x_v^{N+1} and the designated factor 2 x_v - x_left - x_right,
+    which is 2 x_v - 2 x_left when left = right (the loop of degree 2).
+    """
+    g = linear_form({v: 2, left: -2} if left == right else {v: 2, left: -1, right: -1}, n)
+    den.append((SparsePoly.variable(v, n), N + 1))
+    den.append((g, 1))
+    designated[v] = g
+
+
 def genus0_constant(N: int, k: int, d: int, a: int, b: int,
                     ins: dict[int, int] | None = None,
                     order: str = "ascending") -> Fraction:
@@ -84,6 +128,8 @@ def genus0_constant(N: int, k: int, d: int, a: int, b: int,
         raise ValueError("need d >= 0")
     if a < -1 or b < -1:
         raise ValueError("slot powers must be >= -1")
+    if order not in ("ascending", "descending"):
+        raise ValueError("order must be ascending or descending")
     ins = {p: m for p, m in (ins or {}).items() if m}
     if any(p < 0 or p > N - 2 for p in ins):
         raise ValueError("insertion powers must lie in 0..N-2")
@@ -97,8 +143,6 @@ def genus0_constant(N: int, k: int, d: int, a: int, b: int,
     mult = Fraction(d) ** ins.pop(1, 0)
     if not X.genus0_selection(d, a, b, ins):
         return Fraction(0)
-    if order not in ("ascending", "descending"):
-        raise ValueError("order must be ascending or descending")
     key = (N, k, Genus0Chain(d, a, b), ins_key(ins), order)
     if key not in memo:
         memo[key] = chain_residue(*key)
@@ -122,26 +166,12 @@ def chain_residue(N: int, k: int, chain: Genus0Chain, ins_t,
 
 def _integrand(N, k, d, a, b, ins_t):
     n = d + 1
-    num = SparsePoly.constant(Fraction(1, k ** (d - 1)), n)
-    den: list[tuple[SparsePoly, int]] = []
-    for slot, q in ((a, 0), (b, d)):
-        if slot >= 0:
-            num = num * SparsePoly.variable(q, n) ** slot
-        else:
-            den.append((SparsePoly.variable(q, n), 1))
-    for j in range(1, d + 1):
-        num = num * e_poly(k, j - 1, j, n)
-    for p, m in ins_t:
-        s = SparsePoly.zero(n)
-        for j in range(1, d + 1):
-            s = s + w_poly(p, j - 1, j, n)
-        num = num * s ** m
+    den = [(SparsePoly.variable(0, n), N - min(a, 0)),
+           (SparsePoly.variable(d, n), N - min(b, 0))]
     designated: dict[int, SparsePoly] = {}
-    for q in range(d + 1):
-        den.append((SparsePoly.variable(q, n), N))
     for i in range(1, d):
-        den.append((SparsePoly.variable(i, n), 1))
-        g = linear_form({i - 1: -1, i: 2, i + 1: -1}, n)
-        den.append((g, 1))
-        designated[i] = g
+        midpoint(N, n, i, i - 1, i + 1, den, designated)
+    mono = (max(a, 0),) + (0,) * (d - 1) + (max(b, 0),)
+    edges = [(j - 1, j) for j in range(1, d + 1)]
+    num = numerator(k, n, Fraction(1, k ** (d - 1)), mono, edges, ins_t, {})
     return RatExpr(num, den), designated

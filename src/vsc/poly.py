@@ -15,9 +15,8 @@ adding keys, and keys compare by total degree first, so ``max(terms)`` is the
 leading term and gives the total degree.  A field holds at most
 ``MAX_DEGREE``; no exponent exceeds the total degree, so a total degree
 within that limit never carries into the next field.  The constructor, a
-product, a power and a shift by a root of degree above 1 raise
-``ValueError`` naming the limit when a total degree would exceed it.  They
-never wrap.
+product and a shift by a root of degree above 1 raise ``ValueError`` naming
+the limit when a total degree would exceed it.  They never wrap.
 
 By Gauss's lemma the product of primitive polynomials is primitive, and its
 leading coefficient is the product of two positive ones.  A product therefore
@@ -278,20 +277,6 @@ class SparsePoly:
                     out[e] = get(e, 0) + ca * cb
         return SparsePoly._make(n, {e: c for e, c in out.items() if c},
                                 self.content * other.content)
-
-    def __pow__(self, n: int) -> SparsePoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = SparsePoly.constant(1, self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
 
     # -- expansion around a point ---------------------------------------------
 

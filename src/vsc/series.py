@@ -96,14 +96,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            raise ValueError("negative powers go through inverse()")
-        out = TruncatedSeries.constant(1, self.nblocks, self.q_cap)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def exp(self) -> "TruncatedSeries":
         if not self._head().is_zero():
             raise ValueError("exp needs a series with no q^0 part")

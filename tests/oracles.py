@@ -25,6 +25,14 @@ def poly_mul(a: SparsePoly, b: SparsePoly) -> SparsePoly:
     return SparsePoly(a.nvars, out)
 
 
+def poly_pow(p: SparsePoly, e: int) -> SparsePoly:
+    """p^e by e multiplications with poly_mul."""
+    out = SparsePoly.constant(1, p.nvars)
+    for _ in range(e):
+        out = poly_mul(out, p)
+    return out
+
+
 def poly_add(a: SparsePoly, b: SparsePoly) -> SparsePoly:
     """a + b term by term over exponent tuples."""
     out = dict(a.items())
@@ -163,7 +171,7 @@ def derivative(f: RatExpr, v: int) -> RatExpr:
 def expanded_den(f: RatExpr) -> SparsePoly:
     out = SparsePoly.constant(1, f.nvars)
     for g, e in f.den:
-        out = out * g ** e
+        out = out * poly_pow(g, e)
     return out
 
 

@@ -12,6 +12,8 @@ from vsc.graphs import (
     StarGraph,
     graphs_of_degree,
 )
+from vsc.hypersurface import ins_key
+from vsc.pipeline import weighted_insertions
 
 from oracles import reduced_graph_residue
 
@@ -98,6 +100,20 @@ def test_unreduced_integrands_match_reduced_per_graph(N, k, ins_by_degree):
             cancellable += sum(f.reduce().den != f.den
                                for f, _, _ in _graph_terms(N, k, graph, ins_t))
     assert cancellable  # some integrand does carry a cancellable factor
+
+
+@pytest.mark.parametrize("N, k", [(4, 1), (4, 4), (5, 1), (5, 2), (5, 5)])
+def test_graph_integrands_have_degree_minus_step_count(N, k):
+    # a chain of s residues turns a degree -s integrand into a constant
+    checked = 0
+    for d in range(1, 5):
+        for ins in weighted_insertions(N, (N - k) * d):
+            for graph in graphs_of_degree(d):
+                for f, steps, _ in _graph_terms(N, k, graph, ins_key(ins)):
+                    if not f.is_zero():
+                        assert f.homogeneous_degree() == -len(steps), graph
+                        checked += 1
+    assert checked
 
 
 def test_projective_plane_degree_three():

@@ -3,12 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsc.chain import residue_chain, root_in_var
-from vsc.genus0 import e_poly, genus0_constant, w_poly
+from vsc.genus0 import e_poly, genus0_constant, numerator, w_poly
 from vsc.poly import SparsePoly
 
-from oracles import genus0_direct, subst_zero
+from oracles import genus0_direct, poly_mul, subst_zero
 
 F = Fraction
 
@@ -20,7 +22,7 @@ def test_e_poly_basic_identities():
     x, y = SparsePoly.variable(0, n), SparsePoly.variable(1, n)
     assert e_poly(1, 0, 1, n) == x * y
     e3 = e_poly(3, 0, 1, n)
-    assert e3.substitute(0, y) == (3 * y) ** 4
+    assert e3.substitute(0, y) == SparsePoly(n, {(0, 4): 3 ** 4})
     assert subst_zero(e3, 0).is_zero()
     assert e3.homogeneous_degree() == 4
 
@@ -32,7 +34,59 @@ def test_w_poly_basic_identities():
     assert w_poly(1, 0, 1, n) == SparsePoly.constant(1, n)
     assert w_poly(3, 0, 1, n) == x * x + x * y + y * y
     # w_a(z, z) = a z^{a-1}
-    assert w_poly(4, 0, 1, n).substitute(0, y) == 4 * y ** 3
+    assert w_poly(4, 0, 1, n).substitute(0, y) == SparsePoly(n, {(0, 3): 4})
+
+
+def _literal_numerator(k, n, scalar, mono, edges, ins_t, loops):
+    # the product written out factor by factor, every factor multiplied with
+    # the Fraction schoolbook poly_mul
+    def mono_poly(c, exps):
+        e = [0] * n
+        for v, x in exps:
+            e[v] += x
+        return SparsePoly(n, {tuple(e): c})
+
+    out = mono_poly(scalar, enumerate(mono))
+    for u, v in edges:
+        for j in range(k + 1):
+            out = poly_mul(out, mono_poly(j, [(u, 1)]) + mono_poly(k - j, [(v, 1)]))
+    for p, m in ins_t:
+        s = SparsePoly.zero(n)
+        for j in range(p):
+            for u, v in edges:
+                s = s + mono_poly(1, [(u, j), (v, p - 1 - j)])
+            for v, c in loops.items():
+                s = s + mono_poly(c, [(v, p - 1)])
+        for _ in range(m):
+            out = poly_mul(out, s)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_numerator_matches_literal_product(data):
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                               max_size=3) if n > 1 else st.just([]))
+    # a cycle through every vertex, as a loop graph has
+    if n > 1 and data.draw(st.booleans()):
+        edges += [(v, (v + 1) % n) for v in range(n)][:3 - len(edges)]
+    loops = data.draw(st.dictionaries(vertex, st.integers(0, 3), max_size=2))
+    ins_t = tuple(data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                                     max_size=2)))
+    mono = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    scalar = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    assert numerator(k, n, scalar, mono, edges, ins_t, loops) == \
+        _literal_numerator(k, n, scalar, mono, edges, ins_t, loops)
+
+
+def test_bad_order_rejected_before_any_shortcut():
+    # degree 0, a failed selection rule and a full chain all check order first
+    for args in [(5, 5, 0, 1, 0, {2: 1}), (5, 5, 1, 1, 0), (4, 1, 2, 1, 0, {2: 6})]:
+        with pytest.raises(ValueError, match="order"):
+            genus0_constant(*args, order="bogus")
 
 
 def test_root_in_var():

@@ -34,13 +34,6 @@ def test_product_difference_of_squares():
     assert (x + y) * (x - y) == x * x - y * y
 
 
-def test_pow_matches_repeated_mul():
-    x, y = var(0, 2), var(1, 2)
-    p = x + 2 * y
-    assert p ** 5 == p * p * p * p * p
-    assert p ** 0 == SparsePoly.constant(1, 2)
-
-
 def test_substitute_polynomial_value():
     x, y = var(0, 2), var(1, 2)
     p = x * x + y
@@ -53,7 +46,7 @@ def test_substitute_polynomial_value():
 
 def test_derivative_and_degree():
     x, y = var(0, 2), var(1, 2)
-    p = x ** 3 * y + 2 * x
+    p = P(2, {(3, 1): 1}) + 2 * x
     assert poly_derivative(p, 0) == 3 * x * x * y + 2
     assert p.total_degree() == 4
     assert p.degree_in(1) == 1
@@ -172,14 +165,14 @@ def test_packed_kernel_matches_tuple_oracles(data):
 
 def test_packed_field_overflow_raises():
     x, y = var(0, 2), var(1, 2)
-    top = x ** MAX_DEGREE
+    top = P(2, {(MAX_DEGREE, 0): 1})
     assert top.total_degree() == MAX_DEGREE
     with pytest.raises(ValueError, match=str(MAX_DEGREE)):
         top * y  # each exponent fits its field, the total degree does not
     with pytest.raises(ValueError, match=str(MAX_DEGREE)):
-        x ** (MAX_DEGREE + 1)
+        top * x
     with pytest.raises(ValueError, match=str(MAX_DEGREE)):
-        (x ** 40000).substitute(0, y * y)
+        P(2, {(40000, 0): 1}).substitute(0, y * y)
 
 
 def test_constructor_rejects_bad_exponents():
@@ -191,7 +184,8 @@ def test_constructor_rejects_bad_exponents():
         SparsePoly(2, {(MAX_DEGREE + 1, 0): 1})
     with pytest.raises(ValueError, match=str(MAX_DEGREE)):
         SparsePoly(2, {(MAX_DEGREE, 1): 1})
-    assert SparsePoly(2, {(MAX_DEGREE, 0): 1}) == var(0, 2) ** MAX_DEGREE
+    assert SparsePoly(2, {(MAX_DEGREE, 0): 1}) == \
+        SparsePoly(2, {(MAX_DEGREE - 1, 0): 1}) * var(0, 2)
 
 
 def test_items_view_and_primitive_part():
@@ -226,7 +220,7 @@ def test_residue_no_pole_is_zero():
 def test_residue_double_pole_is_derivative():
     # Res_{w=y} w^3/(w-y)^2 = 3y^2
     w, y = var(0, 2), var(1, 2)
-    f = RatExpr(w ** 3, [(w - y, 2)])
+    f = RatExpr(P(2, {(3, 0): 1}), [(w - y, 2)])
     r = f.residue_at(0, y)
     assert r.num == 3 * y * y and not r.den
 
@@ -243,16 +237,16 @@ def test_residue_keeps_denominator_factored():
 def test_residue_overcounted_order_is_harmless():
     # z^2/z^5 has a pole of order 3; counting 5 factors still gives Res = delta
     z = SparsePoly.variable(0, 1)
-    f = RatExpr(z ** 2, [(z, 5)])
+    f = RatExpr(P(1, {(2,): 1}), [(z, 5)])
     assert f.residue_at(0, SparsePoly.zero(1)).is_zero()
-    g = RatExpr(z ** 4, [(z, 5)])
+    g = RatExpr(P(1, {(4,): 1}), [(z, 5)])
     assert g.residue_at(0, SparsePoly.zero(1)).as_fraction() == 1
 
 
 def test_residue_matches_derivative_formula():
     # order-3 pole: Res = (1/2!) d^2/dw^2 [ (w-y)^3 f ] at w = y
     w, y, z = var(0), var(1), var(2)
-    num = w * w * z + y ** 3 + w * z * z
+    num = w * w * z + P(3, {(0, 3, 0): 1}) + w * z * z
     f = RatExpr(num, [(w - y, 3), (w + z, 1), (z, 2)])
     got = f.residue_at(0, y)
     stripped = RatExpr(num, [(w + z, 1), (z, 2)])
@@ -317,7 +311,7 @@ def test_reduce_cancels_shared_linear_factors():
 def test_residue_commutes_with_disjoint_substitution():
     # substitution in y commutes with a residue in w when roots stay y-free
     w, y, z = var(0), var(1), var(2)
-    f = RatExpr(w * w * y + z ** 3, [(w - z, 2), (y + z, 1)])
+    f = RatExpr(w * w * y + P(3, {(0, 0, 3): 1}), [(w - z, 2), (y + z, 1)])
     r_then_s = substitute(f.residue_at(0, z), 1, 2 * z)
     s_then_r = substitute(f, 1, 2 * z).residue_at(0, z)
     assert equals(r_then_s, s_then_r)

@@ -37,7 +37,8 @@ def test_shape_mismatch_rejected():
 
 def test_arithmetic():
     q = TruncatedSeries.q_power(1, 0, 4)
-    s = (TruncatedSeries.constant(1, 0, 4) + q) ** 4
+    one_q = TruncatedSeries.constant(1, 0, 4) + q
+    s = one_q * one_q * one_q * one_q
     assert [s.coefficient(d) for d in range(5)] == [1, 4, 6, 4, 1]
     assert (s - s).is_zero()
     assert s.scale(Fraction(1, 2)).coefficient(2) == 3
