@@ -22,7 +22,7 @@ from .hypersurface import Hypersurface, ins_key
 from .series import TruncatedSeries, substitute
 
 __all__ = ["weighted_insertions", "mirror_corrections", "invert_corrections",
-           "genus1_b_series", "genus0_pair_series", "GwRow", "gw_table"]
+           "genus0_pair_series", "GwRow", "gw_table"]
 
 Ins = dict[int, int]
 
@@ -92,10 +92,10 @@ def invert_corrections(corrections: dict[int, TruncatedSeries]) -> dict[int, Tru
     side, so the keys must be exactly 1..N-2.  Iterating D <- -C(t + D)
     settles one q-order per pass; a final pass checks the fixed point.
     """
-    sample = next(iter(corrections.values()))
-    nblocks, q_cap = sample.nblocks, sample.q_cap
-    if sorted(corrections) != list(range(1, nblocks + 2)):
+    sample = next(iter(corrections.values()), None)
+    if sample is None or sorted(corrections) != list(range(1, sample.nblocks + 2)):
         raise ValueError("inversion needs corrections for p = 1..N-2")
+    nblocks, q_cap = sample.nblocks, sample.q_cap
     D = {p: TruncatedSeries.zero(nblocks, q_cap) for p in corrections}
 
     def step(cur):
@@ -109,17 +109,6 @@ def invert_corrections(corrections: dict[int, TruncatedSeries]) -> dict[int, Tru
     if step(D) != D:
         raise RuntimeError("mirror map inversion did not reach its fixed point")
     return D
-
-
-def genus1_b_series(N: int, k: int, q_cap: int, cache=None,
-                    workers: int = 1) -> TruncatedSeries:
-    """q-dependent part of the genus-1 B-model potential in the x-variables.
-
-    The linear term -(1/24) (int c_{N-3} h) x^1 is not representable here and
-    is handled by the caller during composition.
-    """
-    series, _ = _genus1_b(N, k, q_cap, cache, workers)
-    return series
 
 
 def _genus1_b(N, k, q_cap, cache, workers, chains=()):

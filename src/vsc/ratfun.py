@@ -1,33 +1,46 @@
 """Rational expressions with factored denominators and exact residues.
 
 A ``RatExpr`` is ``num / prod_i f_i^{e_i}``.  The denominator stays a list of
-``(factor, multiplicity)`` pairs and is never expanded.  Residues are taken at
-points where every vanishing factor is linear in the pole variable; for a pole
-of order m the residue equals
+``(factor, multiplicity)`` pairs and is never expanded.
 
-    (1/(m-1)!) d^{m-1}/dv^{m-1} [ (v - root)^m f ] at v = root .
+Every denominator factor that involves the pole variable v must be linear
+in it.  That holds for every integrand of the residue chains: the vertex
+factors z_i (to the power N+1), the midpoint factors 2 z_i - z_{i-1} -
+z_{i+1}, the tail factors z_first - z_core and the contracted factor
+w - z_core are linear forms.  Each root is solved from a linear form, so it
+is linear too, and substituting it keeps every factor linear.  At v = root +
+eps a factor therefore reads c + a eps, with c = f(root) and a its x_v
+coefficient.  The factors with c = 0 make the pole; its order m is the sum
+of their multiplicities.  Each other factor enters by the binomial series
 
-It is computed here through the truncated expansion in eps = v - root: writing
-f = P(eps) / (eps^m Q(eps)) with Q(0) = c0 not identically zero,
+    (c + a eps)^(-e) = sum_j (-1)^j C(e+j-1, j) a^j c^(-e-j) eps^j ,
 
-    Res = [ sum_{j<m} P_{m-1-j} u_j c0^{m-1-j} ] / c0^m ,
-    u_0 = 1 ,  u_j = - sum_{i=1}^{j} Q_i u_{j-i} c0^{i-1} ,
+whose j-th coefficient over the common denominator c^(e+m-1) is the
+polynomial (-1)^j C(e+j-1, j) a^j c^(m-1-j).  With S the product of these
+series truncated at eps^m, and P_j the coefficients of the numerator at
+root + eps,
 
-so every intermediate stays polynomial and the denominator stays factored.
+    Res = sum_{j<m} P_{m-1-j} S_j / ( prod a_0^{e_0} prod c^(e+m-1) ) ,
+
+where a_0 runs over the x_v coefficients of the vanishing factors; the
+factors free of v stay in the denominator as they were.  Every intermediate
+stays polynomial, and each c keeps its generic pole order e + m - 1 in the
+factored denominator.
 
 Normalization happens in this module alone.  Integrands enter a residue
-chain as built, never reduced: the formula reads off the eps^{m-1}
-coefficient of the power series P/Q, and with P = eps^j P' that is the
-eps^{m-1-j} coefficient of P'/Q, the same residue at the true order m - j.
-So an overcounted pole order is harmless, and trial division before the
-chain would buy nothing.  What the formula does overcount are the powers
-c0^m of the factors f(root); ``reduce`` cancels those by exact division on
-every residue's output, which keeps the next step of the chain small.
+chain as built, never reduced: with P = eps^j P' the formula reads off the
+eps^{m-1-j} coefficient of P' / prod (c + a eps)^e, the same residue at the
+true order m - j.  So an overcounted pole order is harmless, and trial
+division before the chain would buy nothing.  ``reduce`` runs on every
+residue's output and cancels the linear factors that still divide its
+numerator: a power of some c = f(root) that the generic order e + m - 1
+overcounts, or a factor free of v.  That keeps the next step of the chain small.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .poly import SparsePoly
 
@@ -37,10 +50,11 @@ _ONE = Fraction(1)
 
 
 class NonLinearPoleError(ValueError):
-    """A denominator factor vanishing at the requested point is not linear."""
+    """A denominator factor is not linear in the pole variable of a residue."""
 
 
 def _eps_mul(a: list[SparsePoly], b: list[SparsePoly], m: int) -> list[SparsePoly]:
+    """Product of two eps-series, truncated at eps^m."""
     n = a[0].nvars
     out = [SparsePoly.zero(n) for _ in range(min(m, len(a) + len(b) - 1))]
     for i, ai in enumerate(a):
@@ -53,17 +67,6 @@ def _eps_mul(a: list[SparsePoly], b: list[SparsePoly], m: int) -> list[SparsePol
                 continue
             out[i + j] = out[i + j] + ai * bj
     return out
-
-def _eps_pow(base: list[SparsePoly], e: int, m: int) -> list[SparsePoly]:
-    n = base[0].nvars
-    result = [SparsePoly.constant(1, n)]
-    while e:
-        if e & 1:
-            result = _eps_mul(result, base, m)
-        e >>= 1
-        if e:
-            base = _eps_mul(base, base, m)
-    return result
 
 
 class RatExpr:
@@ -109,90 +112,69 @@ class RatExpr:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __mul__(self, other) -> RatExpr:
-        if isinstance(other, RatExpr):
-            return RatExpr(self.num * other.num, self.den + other.den)
-        if isinstance(other, (int, Fraction)):
-            return RatExpr(self.num.scale(other), self.den)
-        if isinstance(other, SparsePoly):
-            return RatExpr(self.num * other, self.den)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     # -- residue --------------------------------------------------------------
 
     def residue_at(self, v: int, root: SparsePoly) -> RatExpr:
-        """Residue in v at v = root; zero when no denominator factor vanishes."""
+        """Residue in v at v = root; zero when no denominator factor vanishes.
+
+        Raises NonLinearPoleError for a factor of degree above 1 in v.
+        """
         n = self.nvars
         if root.degree_in(v) > 0:
             raise ValueError("root involves the pole variable")
         m = 0
-        keep: list[tuple[SparsePoly, int]] = []
-        expand: list[tuple[list[SparsePoly], int]] = []
-        scale = _ONE
+        den: list[tuple[SparsePoly, int]] = []
+        lines: list[tuple[SparsePoly, SparsePoly, int]] = []
         for f, e in self.den:
             deg = f.degree_in(v)
             if deg <= 0:
-                keep.append((f, e))
+                den.append((f, e))
                 continue
-            shifted = f.shift_eps(v, root, deg + 1)
-            if shifted[0].is_zero():
-                if deg != 1:
-                    raise NonLinearPoleError(
-                        f"vanishing denominator factor {f!r} is nonlinear in x{v}")
-                alpha = shifted[1]
+            if deg > 1:
+                raise NonLinearPoleError(f"denominator factor {f!r} is nonlinear in x{v}")
+            c, a = f.shift_eps(v, root, 2)
+            if c.is_zero():
                 m += e
-                if alpha.is_constant():
-                    scale /= alpha.constant_value() ** e
-                else:
-                    keep.append((alpha, e))
+                den.append((a, e))
             else:
-                expand.append((shifted, e))
+                lines.append((c, a, e))
         if m == 0:
             return RatExpr.zero(n)
+        S: list[SparsePoly] | None = None
+        for c, a, e in lines:
+            c_pow = [SparsePoly.constant(1, n), c][:m]
+            while len(c_pow) < m:
+                c_pow.append(c_pow[-1] * c)
+            a = a.constant_value() if a.is_constant() else a
+            a_pow = _ONE
+            series = []
+            for j in range(m):
+                series.append(c_pow[m - 1 - j] * a_pow * ((-1) ** j * comb(e + j - 1, j)))
+                a_pow = a_pow * a
+            S = series if S is None else _eps_mul(S, series, m)
+            den.append((c, e + m - 1))
         P = self.num.shift_eps(v, root, m)
-        Q = [SparsePoly.constant(1, n)]
-        for shifted, e in expand:
-            Q = _eps_mul(Q, _eps_pow(shifted[:m], e, m), m)
-        while len(Q) < m:
-            Q.append(SparsePoly.zero(n))
-        c0 = Q[0]
-        c0_pow: dict[int, SparsePoly] = {0: SparsePoly.constant(1, n)}
-
-        def cp(k: int) -> SparsePoly:
-            p = c0_pow.get(k)
-            if p is None:
-                p = cp(k - 1) * c0
-                c0_pow[k] = p
-            return p
-
-        u = [SparsePoly.constant(1, n)]
-        for j in range(1, m):
-            s = SparsePoly.zero(n)
-            for i in range(1, j + 1):
-                if Q[i].is_zero() or u[j - i].is_zero():
-                    continue
-                s = s + Q[i] * u[j - i] * cp(i - 1)
-            u.append(-s)
-        R = SparsePoly.zero(n)
-        for j in range(m):
-            if P[m - 1 - j].is_zero() or u[j].is_zero():
-                continue
-            R = R + P[m - 1 - j] * u[j] * cp(m - 1 - j)
+        if S is None:
+            R = P[m - 1]
+        else:
+            R = SparsePoly.zero(n)
+            for j, s in enumerate(S):
+                if not P[m - 1 - j].is_zero() and not s.is_zero():
+                    R = R + P[m - 1 - j] * s
         if R.is_zero():
             return RatExpr.zero(n)
-        den = keep + [(shifted[0], e * m) for shifted, e in expand]
-        return RatExpr(R.scale(scale), den).reduce()
+        return RatExpr(R, den).reduce()
 
     # -- normalization and extraction -----------------------------------------
 
     def reduce(self) -> RatExpr:
         """Cancel denominator factors of total degree 1 that divide the numerator.
 
-        Called on ``residue_at``'s output, whose formula overcounts the powers
-        of f(root), and by ``as_fraction``; integrands are never reduced before
-        their chain, because an overcounted pole order is harmless.
+        Called on ``residue_at``'s output, where each f(root) carries its
+        generic order e + m - 1 and the numerator may still vanish on it or
+        on a factor free of the pole variable, and by ``as_fraction``.
+        Integrands are never reduced before their chain, because an
+        overcounted pole order is harmless.
         """
         num = self.num
         if num.is_zero():

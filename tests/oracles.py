@@ -1,6 +1,8 @@
 """Slow reference implementations the tests check the engines against."""
 
 from fractions import Fraction
+from functools import cache
+from math import comb
 
 from vsc.chain import residue_chain
 from vsc.elliptic import _graph_terms
@@ -204,3 +206,51 @@ def reduced_graph_residue(N: int, k: int, graph, ins_t) -> Fraction:
     return sum((residue_chain(f.reduce(), steps, designated)
                 for f, steps, designated in _graph_terms(N, k, graph, ins_t)),
                Fraction(0))
+
+
+@cache
+def p3_invariant(d: int, lines: int, points: int) -> int:
+    """Rational degree-d curves in P^3 through general lines and points.
+
+    The Kontsevich-Manin recursion (Comm. Math. Phys. 164 (1994),
+    hep-th/9402147), independent of every residue engine.  Write the quantum
+    potential as G = sum N(d, a, b) e^{d t1} t2^a t3^b / (a! b!), with a line
+    class t2 and a point class t3, so that a + 2b = 4d.  The WDVV equation
+    for (i, j, k, l) says that
+        G_{i+j,k,l} + G_{i,j,k+l} - G_{i+k,j,l} - G_{i,k,j+l}
+          = sum_e G_{ike} G_{3-e,j,l} - G_{ije} G_{3-e,k,l}  =: Q_{ijkl},
+    with G_{..s..} = 0 for s = 0 or s > 3.  The right hand side has degrees
+    below d only; (1,2,3,3), (1,3,1,2) and (1,2,1,2) then give the cases
+    below, down to the line through two points.
+    """
+    if d < 1 or lines < 0 or points < 0 or lines + 2 * points != 4 * d:
+        return 0
+    if lines == 0:
+        return 1 if d == 1 else _p3_quadratic(d, 0, points - 3, (1, 2, 3, 3))
+    if points:
+        return d * p3_invariant(d, lines - 2, points + 1) \
+            - _p3_quadratic(d, lines - 2, points - 1, (1, 3, 1, 2))
+    return 2 * d * p3_invariant(d, lines - 2, 1) \
+        - _p3_quadratic(d, lines - 3, 0, (1, 2, 1, 2))
+
+
+def _p3_derivative(idx: tuple[int, int, int], d: int, a: int, b: int) -> int:
+    # coefficient (d, a, b) of G_{idx}: t1 gives a factor d, t2 and t3 shift
+    if any(s < 1 or s > 3 for s in idx):
+        return 0
+    return d ** idx.count(1) * p3_invariant(d, a + idx.count(2), b + idx.count(3))
+
+
+def _p3_quadratic(d: int, a: int, b: int, ijkl: tuple[int, int, int, int]) -> int:
+    i, j, k, l = ijkl
+    total = 0
+    for d1 in range(1, d):
+        for a1 in range(a + 1):
+            for b1 in range(b + 1):
+                weight = comb(a, a1) * comb(b, b1)
+                lo, hi = (d1, a1, b1), (d - d1, a - a1, b - b1)
+                for e in (1, 2):
+                    total += weight * (
+                        _p3_derivative((i, k, e), *lo) * _p3_derivative((3 - e, j, l), *hi)
+                        - _p3_derivative((i, j, e), *lo) * _p3_derivative((3 - e, k, l), *hi))
+    return total

@@ -21,6 +21,8 @@ from vsc.hypersurface import Hypersurface
 from vsc.pipeline import gw_table, invert_corrections, mirror_corrections
 from vsc.series import TruncatedSeries, substitute
 
+from oracles import p3_invariant
+
 
 def _report(name: str, ok: bool):
     print(f"{'PASS' if ok else 'FAIL'}: {name}")
@@ -85,12 +87,30 @@ THREEFOLD_D2 = {
 }
 
 
+def test_p3_wdvv_literature_values():
+    # lines meeting 4 lines, conics meeting 8 lines, twisted cubics meeting 12
+    # lines and through 6 points (Kontsevich-Manin, hep-th/9402147)
+    ok = [p3_invariant(1, 4, 0), p3_invariant(2, 8, 0), p3_invariant(3, 12, 0),
+          p3_invariant(3, 0, 6)] == [2, 92, 80160, 1]
+    _report("P^3 WDVV oracle reproduces 2, 92, 80160 and 1", ok)
+
+
+def _n0_matches_p3_wdvv(rows) -> bool:
+    # the k = 1 threefold is P^3, so each n0 counts curves through lines
+    # (h^2 insertions) and points (h^3 insertions)
+    return all(r.n0 == p3_invariant(r.d, r.ins.get(2, 0), r.ins.get(3, 0))
+               for r in rows)
+
+
 def test_threefold_tables():
     ok = True
     seen = 0
     for k in (1, 2, 3, 4):
         d_max = 3 if k in (1, 3) else 2
         rows = gw_table(5, k, d_max)
+        if k == 1:
+            _report("every n0 row of gw_table(5,1,3) matches P^3 WDVV",
+                    _n0_matches_p3_wdvv(rows))
         for r in rows:
             ok = ok and r.combo.denominator == 1  # integrality, every row
             key = (r.d, r.ins.get(2, 0), r.ins.get(3, 0))
@@ -273,6 +293,7 @@ def test_extended_threefold_high_degrees():
         ok = ok and r.combo.denominator == 1
     ok = ok and seen == len(HIGH_DEGREE_ROWS)
     _report("threefold table rows at d=4,5", ok)
+    _report("every n0 row of gw_table(5,1,5) matches P^3 WDVV", _n0_matches_p3_wdvv(rows))
 
 
 @pytest.mark.extended

@@ -1,6 +1,7 @@
 """Oracles and invariants for the polynomial / rational-expression kernel."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -251,16 +252,46 @@ def test_residue_matches_derivative_formula():
     got = f.residue_at(0, y)
     stripped = RatExpr(num, [(w + z, 1), (z, 2)])
     manual = derivative(derivative(stripped, 0), 0)
-    manual = RatExpr(manual.num.substitute(0, y),
-                     [(g.substitute(0, y), e) for g, e in manual.den]) * F(1, 2)
+    manual = RatExpr(manual.num.substitute(0, y).scale(F(1, 2)),
+                     [(g.substitute(0, y), e) for g, e in manual.den])
     assert equals(got, manual)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_residue_matches_derivative_formula_random(data):
+    # Res_{v=root} f = (1/(m-1)!) d^{m-1}/dv^{m-1} [ (v-root)^m f ] at v = root,
+    # for a pole of order 1-4 beside 0-3 non-vanishing linear factors
+    small = st.integers(-3, 3)
+    root = linear_form({1: data.draw(small), 2: data.draw(small)}, 3)
+    m = data.draw(st.integers(1, 4))
+    alpha = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    den = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        g = linear_form({i: data.draw(small) for i in range(3)}, 3) + data.draw(small)
+        if not poly_substitute(g, 0, root).is_zero():
+            den.append((g, data.draw(st.integers(1, 6))))
+    if not root.is_zero():
+        den.append((var(0), data.draw(st.integers(0, 6))))  # x_v^e off its pole
+    num = data.draw(_poly_in(3))
+    f = RatExpr(num, [((var(0) - root).scale(alpha), m)] + den)
+    manual = RatExpr(num.scale(F(1, alpha ** m)), den)
+    for _ in range(m - 1):
+        manual = derivative(manual, 0)
+    manual = substitute(manual, 0, root)
+    expected = RatExpr(manual.num.scale(F(1, factorial(m - 1))), manual.den)
+    assert equals(f.residue_at(0, root), expected)
+
+
 def test_residue_rejects_nonlinear_vanishing_factor():
-    w = SparsePoly.variable(0, 2)
+    w, y = var(0, 2), var(1, 2)
     f = RatExpr(SparsePoly.constant(1, 2), [(w * w, 1)])
     with pytest.raises(NonLinearPoleError):
         f.residue_at(0, SparsePoly.zero(2))
+    # a factor nonlinear in w is rejected even where it does not vanish
+    g = RatExpr(SparsePoly.constant(1, 2), [(w, 1), (w * w + y, 1)])
+    with pytest.raises(NonLinearPoleError):
+        g.residue_at(0, SparsePoly.zero(2))
 
 
 def test_residue_raises_homogeneous_degree_by_one():

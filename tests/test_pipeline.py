@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from vsc.pipeline import (GwRow, genus0_pair_series, genus1_b_series, gw_table,
+from vsc.pipeline import (GwRow, _genus1_b, genus0_pair_series, gw_table,
                           invert_corrections, mirror_corrections,
                           weighted_insertions)
 from vsc.series import TruncatedSeries, substitute
@@ -76,10 +76,12 @@ def test_invert_requires_full_coordinate_set():
     C = mirror_corrections(4, 1, 2)
     with pytest.raises(ValueError):
         invert_corrections({1: C[1]})
+    with pytest.raises(ValueError):
+        invert_corrections({})
 
 
 def test_genus1_b_series_projective_plane():
-    s = genus1_b_series(4, 1, 3)
+    s = _genus1_b(4, 1, 3, None, 1)[0]
     assert [s.coefficient(d, (3 * d,)) for d in (1, 2, 3)] == \
         [Fraction(-1, 16), Fraction(-7, 80), Fraction(-77789, 362880)]
 
