@@ -38,10 +38,9 @@ FAMILIES = {
 
 
 def _check_cy(k: int) -> Hypersurface:
-    X = Hypersurface(k, k)
     if k < 3:
         raise ValueError("need k >= 3")
-    return X
+    return Hypersurface(k, k)
 
 
 def ltilde(k: int, m: int, q_cap: int) -> TruncatedSeries:

@@ -46,13 +46,16 @@ def residue_chain(
     steps: (variable, mode) in elimination order, mode one of "zero", "both",
     "root".  designated maps a variable to its designated denominator factor
     in the original coordinates; factors are evolved through every
-    substitution as the chain descends.  Homogeneity is checked after each
-    residue (each step raises the degree of a homogeneous expression by
-    exactly one).
+    substitution as the chain descends.  Homogeneity is checked at entry (a
+    chain of s residues turns an integrand of degree -s into a constant) and
+    after each residue (each step raises the degree by exactly one).
     """
     if f.is_zero():
         return Fraction(0)
     deg = f.homogeneous_degree()
+    if deg != -len(steps):
+        raise RuntimeError(f"integrand has homogeneous degree {deg}, "
+                           f"not minus its {len(steps)} residue steps")
 
     def walk(g: RatExpr, pos: int, pending: dict[int, SparsePoly], deg: int) -> Fraction:
         if pos == len(steps):

@@ -9,9 +9,12 @@ own variable layout together with a residue schedule:
            end at 0 only;
   loop     cyclic chain, every variable at 0 and at its evolved root;
   cluster  contracted variable w at its root w = z_0 only, then the star
-           schedule; these residues vanish whenever N = k, because the
-           double-pole derivative at w = z_0 picks up a factor N - k, but
-           for Fano targets with insertions they contribute;
+           schedule; its two contraction terms -(N-1)/N w^-N and
+           -(N+1)/N z_0^-N share one denominator, so a cluster is one
+           integrand and one chain like every other graph; these residues
+           vanish whenever N = k, because the double-pole derivative at
+           w = z_0 picks up a factor N - k, but for Fano targets with
+           insertions they contribute;
   point    single variable, residue at 0.
 
 Each builder only describes its layout; genus0.numerator and
@@ -90,7 +93,7 @@ def _star_terms(N: int, k: int, sigma: tuple[int, ...], ins_t: InsT):
     steps: list[tuple[int, str]] = [(core, "zero")]
     edges = _hang_tails(N, n, core, sigma, den, designated, steps)
     num = numerator(k, n, scalar, (N - 2,) + (0,) * d, edges, ins_t, {})
-    return [(RatExpr(num, den), steps, designated)]
+    return RatExpr(num, den), steps, designated
 
 
 def _loop_terms(N: int, k: int, d: int, ins_t: InsT):
@@ -100,7 +103,7 @@ def _loop_terms(N: int, k: int, d: int, ins_t: InsT):
         midpoint(N, d, t, (t - 1) % d, (t + 1) % d, den, designated)
     edges = [(t, (t + 1) % d) for t in range(d)]
     num = numerator(k, d, Fraction(1, 2 * d) / k**d, (0,) * d, edges, ins_t, {})
-    return [(RatExpr(num, den), [(t, "both") for t in range(d)], designated)]
+    return RatExpr(num, den), [(t, "both") for t in range(d)], designated
 
 
 def _cluster_terms(N: int, k: int, f: int, sigma: tuple[int, ...], ins_t: InsT):
@@ -109,28 +112,22 @@ def _cluster_terms(N: int, k: int, f: int, sigma: tuple[int, ...], ins_t: InsT):
     w, core = 0, 1
     # The cluster vertex has valence l + 1 (l tails plus the edge to w), so its
     # vertex factor carries (k z_core)^l, one power more than an elliptic core.
-    # With l - 1 the integrand would sit one degree too high and every chain
-    # would die on the homogeneity count; l lands it exactly at minus the step
-    # count of the chain, and it keeps the N = k case at zero.
-    scalar = sym_factor(sigma) * Fraction(1, 24) * Fraction(k) ** (k * (f - 1) - 1) / k ** (
-        l) / k ** (d - f - l)
+    # With l - 1 the integrand would sit one degree too high for its chain;
+    # l lands it exactly at minus the step count, and keeps N = k at zero.
+    # The contraction terms -(N-1)/N w^-N and -(N+1)/N z_core^-N share one
+    # denominator: w^N z_core^N below, -((N-1) z_core^N + (N+1) w^N)/N above.
+    scalar = -sym_factor(sigma) * Fraction(k) ** (k * (f - 1) - 1) / (24 * N * k ** (d - f))
     contracted = linear_form({w: 1, core: -1}, n)
-    den: list[tuple[SparsePoly, int]] = [
-        (contracted, 2),
-        (SparsePoly.variable(w, n), 1),
-        (SparsePoly.variable(core, n), l + N * (f - 1)),
-    ]
+    den = [(contracted, 2), (SparsePoly.variable(w, n), N + 1),
+           (SparsePoly.variable(core, n), l + N * f)]
     designated: dict[int, SparsePoly] = {w: contracted}
     steps: list[tuple[int, str]] = [(w, "root"), (core, "zero")]
     # the contracted loop is the edge (w, core) and a self-loop of weight f - 1
     edges = [(w, core)] + _hang_tails(N, n, core, sigma, den, designated, steps)
-    mono = (0, k * (f - 1)) + (0,) * sum(sigma)
-    num = numerator(k, n, scalar, mono, edges, ins_t, {core: f - 1})
-    half_a = RatExpr(num.scale(Fraction(-(N - 1), N)),
-                     den + [(SparsePoly.variable(w, n), N)])
-    half_b = RatExpr(num.scale(Fraction(-(N + 1), N)),
-                     den + [(SparsePoly.variable(core, n), N)])
-    return [(half_a, steps, designated), (half_b, steps, designated)]
+    tails = (0,) * sum(sigma)
+    split = SparsePoly(n, {(0, N) + tails: N - 1, (N, 0) + tails: N + 1})
+    num = numerator(k, n, scalar, (0, k * (f - 1)) + tails, edges, ins_t, {core: f - 1})
+    return RatExpr(num * split, den), steps, designated
 
 
 def _point_terms(N: int, k: int, d: int, ins_t: InsT):
@@ -138,11 +135,11 @@ def _point_terms(N: int, k: int, d: int, ins_t: InsT):
     scalar = r_factor(N, k, d) * Fraction(k) ** (k * d) / 24
     num = numerator(k, 1, scalar, (k * d,), [], ins_t, {0: d})
     den = [(SparsePoly.variable(0, 1), N * d + 1)]
-    return [(RatExpr(num, den), [(0, "zero")], {})]
+    return RatExpr(num, den), [(0, "zero")], {}
 
 
-def _graph_terms(N: int, k: int, graph: Graph, ins_t: InsT):
-    """(integrand, steps, designated) of each chain of one catalog graph."""
+def _graph_integrand(N: int, k: int, graph: Graph, ins_t: InsT):
+    """(integrand, steps, designated) of the one chain of a catalog graph."""
     if isinstance(graph, StarGraph):
         return _star_terms(N, k, graph.sigma, ins_t)
     if isinstance(graph, LoopGraph):
@@ -155,11 +152,10 @@ def _graph_terms(N: int, k: int, graph: Graph, ins_t: InsT):
 
 
 def graph_residue(N: int, k: int, graph: Graph, ins_t: InsT) -> Fraction:
-    """Residue value of one catalog graph with the given p >= 2 insertions."""
-    total = Fraction(0)
-    for f, steps, designated in _graph_terms(N, k, graph, ins_t):
-        total += residue_chain(f, steps, designated)
-    return total
+    """Residue value of one catalog graph with p >= 2 insertions, 0 off the selection rule."""
+    if not Hypersurface(N, k).genus1_selection(graph.degree, dict(ins_t)):
+        return Fraction(0)
+    return residue_chain(*_graph_integrand(N, k, graph, ins_t))
 
 
 def _evaluate(args):
@@ -220,13 +216,8 @@ def elliptic_constant(N: int, k: int, d: int,
     X = Hypersurface(N, k)
     if d < 1:
         raise ValueError("need d >= 1")
-    ins = {p: m for p, m in (ins or {}).items() if m}
-    if any(p < 0 or p > N - 2 for p in ins):
-        raise ValueError("insertion powers must lie in 0..N-2")
-    if ins.get(0):
-        return Fraction(0)
-    mult = Fraction(d) ** ins.pop(1, 0)
-    if not X.genus1_selection(d, ins):
+    mult, ins = X.split_insertions(d, ins)
+    if not mult or not X.genus1_selection(d, ins):
         return Fraction(0)
     jobs = [(graph, ins_key(ins)) for graph in graphs_of_degree(d)]
     return mult * sum(graph_values(N, k, jobs, cache, workers), Fraction(0))

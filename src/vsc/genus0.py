@@ -130,20 +130,15 @@ def genus0_constant(N: int, k: int, d: int, a: int, b: int,
         raise ValueError("slot powers must be >= -1")
     if order not in ("ascending", "descending"):
         raise ValueError("order must be ascending or descending")
-    ins = {p: m for p, m in (ins or {}).items() if m}
-    if any(p < 0 or p > N - 2 for p in ins):
-        raise ValueError("insertion powers must lie in 0..N-2")
+    mult, rest = X.split_insertions(d, ins)
     if d == 0:
         if ins_count(ins) != 1:
             return Fraction(0)
         (c, _), = ins_key(ins)
         return Fraction(k) if a + b + c == N - 2 else Fraction(0)
-    if ins.get(0):
+    if not mult or not X.genus0_selection(d, a, b, rest):
         return Fraction(0)
-    mult = Fraction(d) ** ins.pop(1, 0)
-    if not X.genus0_selection(d, a, b, ins):
-        return Fraction(0)
-    key = (N, k, Genus0Chain(d, a, b), ins_key(ins), order)
+    key = (N, k, Genus0Chain(d, a, b), ins_key(rest), order)
     if key not in memo:
         memo[key] = chain_residue(*key)
     return mult * memo[key]
@@ -152,26 +147,21 @@ def genus0_constant(N: int, k: int, d: int, a: int, b: int,
 def chain_residue(N: int, k: int, chain: Genus0Chain, ins_t,
                   order: str = "ascending") -> Fraction:
     """Residue of one genus-0 chain with p >= 2 insertions, computed afresh."""
-    d = chain.degree
-    f, designated = _integrand(N, k, d, chain.a, chain.b, ins_t)
-    if f.homogeneous_degree() != -(d + 1):
-        raise RuntimeError("genus-0 integrand has the wrong homogeneous degree")
-    interior = [(i, "both") for i in range(1, d)]
-    if order == "ascending":
-        steps = [(0, "zero")] + interior + [(d, "zero")]
-    else:
-        steps = [(d, "zero")] + interior[::-1] + [(0, "zero")]
-    return residue_chain(f, steps, designated)
+    return residue_chain(*_integrand(N, k, chain.degree, chain.a, chain.b, ins_t, order))
 
 
-def _integrand(N, k, d, a, b, ins_t):
+def _integrand(N, k, d, a, b, ins_t, order="ascending"):
+    """(integrand, steps, designated) of the chain, eliminated in the given order."""
     n = d + 1
     den = [(SparsePoly.variable(0, n), N - min(a, 0)),
            (SparsePoly.variable(d, n), N - min(b, 0))]
     designated: dict[int, SparsePoly] = {}
     for i in range(1, d):
         midpoint(N, n, i, i - 1, i + 1, den, designated)
+    steps = [(0, "zero")] + [(i, "both") for i in range(1, d)] + [(d, "zero")]
+    if order == "descending":
+        steps.reverse()
     mono = (max(a, 0),) + (0,) * (d - 1) + (max(b, 0),)
     edges = [(j - 1, j) for j in range(1, d + 1)]
     num = numerator(k, n, Fraction(1, k ** (d - 1)), mono, edges, ins_t, {})
-    return RatExpr(num, den), designated
+    return RatExpr(num, den), steps, designated

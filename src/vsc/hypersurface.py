@@ -40,6 +40,20 @@ class Hypersurface:
         """Coefficient L in the universal genus-1 linear term -(1/24) L x^1."""
         return self.k * self.chern_coeff(self.N - 3)
 
+    def split_insertions(self, d: int, ins: Ins | None) -> tuple[Fraction, Ins]:
+        """(factor of the p <= 1 insertions, the p >= 2 ones) of a degree-d constant.
+
+        Zero counts are dropped, no count may be negative, and every power
+        must lie in 0..N-2.  A p = 0 insertion makes the factor 0; each p = 1
+        insertion multiplies it by d.
+        """
+        ins = {p: m for p, m in (ins or {}).items() if m}
+        if any(m < 0 for m in ins.values()):
+            raise ValueError("insertion counts must be >= 0")
+        if any(p < 0 or p > self.N - 2 for p in ins):
+            raise ValueError("insertion powers must lie in 0..N-2")
+        return (Fraction(0) if ins.pop(0, 0) else Fraction(d) ** ins.pop(1, 0)), ins
+
     # -- selection rules ------------------------------------------------------
 
     def genus0_selection(self, d: int, a: int, b: int, ins: Ins) -> bool:

@@ -5,10 +5,11 @@ from functools import cache
 from math import comb
 
 from vsc.chain import residue_chain
-from vsc.elliptic import _graph_terms
-from vsc.genus0 import _integrand
+from vsc.elliptic import _graph_integrand, _hang_tails
+from vsc.genus0 import _integrand, numerator
+from vsc.graphs import sym_factor
 from vsc.hypersurface import Hypersurface, ins_key
-from vsc.poly import SparsePoly
+from vsc.poly import SparsePoly, linear_form
 from vsc.ratfun import RatExpr
 from vsc.series import TruncatedSeries
 
@@ -192,20 +193,47 @@ def genus0_direct(N: int, k: int, d: int, a: int, b: int,
     Hypersurface(N, k)
     if d < 1:
         raise ValueError("need d >= 1")
-    f, designated = _integrand(N, k, d, a, b, ins_key(ins))
-    steps = [(0, "zero")] + [(i, "both") for i in range(1, d)] + [(d, "zero")]
-    return residue_chain(f, steps, designated)
+    return residue_chain(*_integrand(N, k, d, a, b, ins_key(ins)))
 
 
 def reduced_graph_residue(N: int, k: int, graph, ins_t) -> Fraction:
-    """graph_residue with every integrand term reduced before its chain.
+    """graph_residue with the integrand reduced before its chain.
 
     The engine hands its integrands to residue_chain unreduced; this is the
-    same graph sum with the trial divisions done first.
+    same chain with the trial divisions done first.
     """
-    return sum((residue_chain(f.reduce(), steps, designated)
-                for f, steps, designated in _graph_terms(N, k, graph, ins_t)),
-               Fraction(0))
+    f, steps, designated = _graph_integrand(N, k, graph, ins_t)
+    return residue_chain(f.reduce(), steps, designated)
+
+
+def cluster_by_halves(N: int, k: int, graph, ins_t) -> Fraction:
+    """A cluster graph's value as the sum of two half chains.
+
+    The contraction terms -(N-1)/N w^-N and -(N+1)/N z_core^-N are built as
+    separate integrands over the shared numerator, schedule and designated
+    factors, each with its own residue chain; the engine puts them over one
+    denominator and walks one chain.
+    """
+    f, sigma = graph.f, graph.sigma
+    d, l = f + sum(sigma), len(sigma)
+    n = 2 + sum(sigma)
+    w, core = 0, 1
+    scalar = sym_factor(sigma) * Fraction(1, 24) * Fraction(k) ** (k * (f - 1) - 1) / k ** (
+        l) / k ** (d - f - l)
+    contracted = linear_form({w: 1, core: -1}, n)
+    den = [(contracted, 2), (SparsePoly.variable(w, n), 1),
+           (SparsePoly.variable(core, n), l + N * (f - 1))]
+    designated = {w: contracted}
+    steps = [(w, "root"), (core, "zero")]
+    edges = [(w, core)] + _hang_tails(N, n, core, sigma, den, designated, steps)
+    mono = (0, k * (f - 1)) + (0,) * sum(sigma)
+    num = numerator(k, n, scalar, mono, edges, ins_t, {core: f - 1})
+    half_w = RatExpr(num.scale(Fraction(-(N - 1), N)),
+                     den + [(SparsePoly.variable(w, n), N)])
+    half_core = RatExpr(num.scale(Fraction(-(N + 1), N)),
+                        den + [(SparsePoly.variable(core, n), N)])
+    return residue_chain(half_w, steps, designated) + \
+        residue_chain(half_core, steps, designated)
 
 
 @cache

@@ -89,6 +89,12 @@ def test_validation_exit_code(capsys):
     assert "error:" in err
 
 
+def test_bcov_rejects_k_below_three(capsys):
+    code, _, err = run(capsys, "bcov", "--k", "2", "--dmax", "1", "--no-cache")
+    assert code == 2
+    assert "need k >= 3" in err
+
+
 @pytest.mark.parametrize("flag, argv", [
     ("--dmax", ("gw", "--N", "5", "--k", "1", "--dmax", "-3", "--no-cache")),
     ("--qcap", ("mirror", "--N", "5", "--k", "1", "--qcap", "-1")),

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import vsc
 from vsc.cache import ResidueCache, graph_key
-from vsc.elliptic import _graph_terms, elliptic_constant, graph_residue
+from vsc.elliptic import _graph_integrand, elliptic_constant, graph_residue
 from vsc.graphs import (
     ClusterStarGraph,
     LoopGraph,
@@ -15,7 +20,7 @@ from vsc.graphs import (
 from vsc.hypersurface import ins_key
 from vsc.pipeline import weighted_insertions
 
-from oracles import reduced_graph_residue
+from oracles import cluster_by_halves, reduced_graph_residue
 
 
 def test_projective_plane_degree_one_graph_values():
@@ -97,8 +102,8 @@ def test_unreduced_integrands_match_reduced_per_graph(N, k, ins_by_degree):
         for graph in graphs_of_degree(d):
             assert graph_residue(N, k, graph, ins_t) == \
                 reduced_graph_residue(N, k, graph, ins_t), graph
-            cancellable += sum(f.reduce().den != f.den
-                               for f, _, _ in _graph_terms(N, k, graph, ins_t))
+            f, _, _ = _graph_integrand(N, k, graph, ins_t)
+            cancellable += f.reduce().den != f.den
     assert cancellable  # some integrand does carry a cancellable factor
 
 
@@ -109,11 +114,58 @@ def test_graph_integrands_have_degree_minus_step_count(N, k):
     for d in range(1, 5):
         for ins in weighted_insertions(N, (N - k) * d):
             for graph in graphs_of_degree(d):
-                for f, steps, _ in _graph_terms(N, k, graph, ins_key(ins)):
-                    if not f.is_zero():
-                        assert f.homogeneous_degree() == -len(steps), graph
-                        checked += 1
+                f, steps, _ = _graph_integrand(N, k, graph, ins_key(ins))
+                if not f.is_zero():
+                    assert f.homogeneous_degree() == -len(steps), graph
+                    checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("N, k", [(4, 1), (4, 4), (5, 1), (5, 2)])
+def test_cluster_is_the_sum_of_its_two_halves(N, k):
+    # one integrand over the common denominator of both contraction terms;
+    # for N = k every cluster vanishes by the factor N - k
+    checked = 0
+    for d in range(1, 5):
+        clusters = [g for g in graphs_of_degree(d) if isinstance(g, ClusterStarGraph)]
+        for ins in weighted_insertions(N, (N - k) * d):
+            for graph in clusters:
+                value = graph_residue(N, k, graph, ins_key(ins))
+                assert value == cluster_by_halves(N, k, graph, ins_key(ins)), graph
+                assert value == 0 or N != k, graph
+                checked += value != 0
+    assert checked or N == k
+
+
+def test_wrong_degree_integrand_raises_under_optimize():
+    # a wrong-degree integrand must stop at chain entry, asserts or not,
+    # instead of walking to 0
+    script = """
+import sys
+from vsc.chain import residue_chain
+from vsc.elliptic import _graph_integrand
+from vsc.genus0 import _integrand
+from vsc.graphs import ClusterStarGraph, StarGraph
+from vsc.poly import SparsePoly
+from vsc.ratfun import RatExpr
+if not sys.flags.optimize:
+    sys.exit(2)
+for f, steps, designated in (_graph_integrand(4, 1, StarGraph((1,)), ((2, 3),)),
+                             _graph_integrand(4, 1, ClusterStarGraph(1, (1,)), ((2, 6),)),
+                             _integrand(4, 1, 2, 2, 2, ((2, 3),))):
+    f = RatExpr(f.num * SparsePoly.variable(0, f.nvars), f.den)
+    try:
+        residue_chain(f, steps, designated)
+    except RuntimeError:
+        continue
+    sys.exit(1)
+"""
+    src = str(Path(vsc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_projective_plane_degree_three():

@@ -1,5 +1,6 @@
 """Golden values and invariants for the genus-0 residue engine."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vsc.chain import residue_chain, root_in_var
+from vsc.elliptic import elliptic_constant
 from vsc.genus0 import e_poly, genus0_constant, numerator, w_poly
 from vsc.poly import SparsePoly
 
@@ -89,6 +91,20 @@ def test_bad_order_rejected_before_any_shortcut():
             genus0_constant(*args, order="bogus")
 
 
+@pytest.mark.parametrize("ins, message", [
+    ({7: 1}, "insertion powers must lie in 0..N-2"),
+    ({-1: 1}, "insertion powers must lie in 0..N-2"),
+    ({1: -1, 2: 2}, "insertion counts must be >= 0"),
+])
+def test_insertions_checked_alike_by_both_constants(ins, message):
+    # degree 0 and d >= 1 of genus 0 and genus 1 read insertions through one helper
+    for constant, args in [(genus0_constant, (4, 1, 0, 1, 0)),
+                           (genus0_constant, (4, 1, 2, 1, 0)),
+                           (elliptic_constant, (4, 1, 1))]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            constant(*args, ins)
+
+
 def test_root_in_var():
     from vsc.poly import linear_form
     g = linear_form({1: 2, 2: -1}, 3)  # 2 x1 - x2, root in x1 is x2/2
@@ -160,9 +176,9 @@ def test_descending_order_agrees():
 
 def test_branch_count_matches_two_to_the_d_minus_one():
     from vsc.genus0 import _integrand
-    f, des = _integrand(4, 1, 3, 1, 0, ((2, 9),))
+    f, steps, des = _integrand(4, 1, 3, 1, 0, ((2, 9),))
+    assert steps == [(0, "zero"), (1, "both"), (2, "both"), (3, "zero")]
     stats = {}
-    steps = [(0, "zero"), (1, "both"), (2, "both"), (3, "zero")]
     val = residue_chain(f, steps, des, stats=stats)
     assert val == 622320
     assert stats.get("leaves", 0) + stats.get("pruned", 0) >= 4

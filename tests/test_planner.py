@@ -106,7 +106,8 @@ def test_warm_run_evaluates_no_chain(tmp_path, capsys, monkeypatch, empty_memo,
         return wrapper
 
     monkeypatch.setattr(vsc.genus0, "_integrand", counting(vsc.genus0._integrand))
-    monkeypatch.setattr(vsc.elliptic, "_graph_terms", counting(vsc.elliptic._graph_terms))
+    monkeypatch.setattr(vsc.elliptic, "_graph_integrand",
+                        counting(vsc.elliptic._graph_integrand))
     # the cold run filled the memo too; only the disk cache may serve the warm run
     empty_memo.clear()
     assert run(capsys, *argv, "--threads", "2") == cold
