@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .cache import ResidueCache, chain_key, graph_key
 from .chain import residue_chain
-from .genus0 import Genus0Chain, chain_residue, memo, midpoint, numerator
+from .genus0 import Genus0Chain, chain_residue, first_pole_cap, memo, midpoint, numerator
 from .graphs import (
     ClusterStarGraph,
     Graph,
@@ -92,7 +92,8 @@ def _star_terms(N: int, k: int, sigma: tuple[int, ...], ins_t: InsT):
     designated: dict[int, SparsePoly] = {}
     steps: list[tuple[int, str]] = [(core, "zero")]
     edges = _hang_tails(N, n, core, sigma, den, designated, steps)
-    num = numerator(k, n, scalar, (N - 2,) + (0,) * d, edges, ins_t, {})
+    num = numerator(k, n, scalar, (N - 2,) + (0,) * d, edges, ins_t, {},
+                    first_pole_cap(den, steps))
     return RatExpr(num, den), steps, designated
 
 
@@ -133,9 +134,9 @@ def _cluster_terms(N: int, k: int, f: int, sigma: tuple[int, ...], ins_t: InsT):
 def _point_terms(N: int, k: int, d: int, ins_t: InsT):
     # one vertex carrying a self-loop of weight d
     scalar = r_factor(N, k, d) * Fraction(k) ** (k * d) / 24
-    num = numerator(k, 1, scalar, (k * d,), [], ins_t, {0: d})
-    den = [(SparsePoly.variable(0, 1), N * d + 1)]
-    return RatExpr(num, den), [(0, "zero")], {}
+    den, steps = [(SparsePoly.variable(0, 1), N * d + 1)], [(0, "zero")]
+    num = numerator(k, 1, scalar, (k * d,), [], ins_t, {0: d}, first_pole_cap(den, steps))
+    return RatExpr(num, den), steps, {}
 
 
 def _graph_integrand(N: int, k: int, graph: Graph, ins_t: InsT):

@@ -31,8 +31,8 @@ from .hypersurface import Hypersurface, ins_count, ins_key
 from .poly import SparsePoly, linear_form
 from .ratfun import RatExpr
 
-__all__ = ["e_poly", "w_poly", "numerator", "midpoint", "genus0_constant", "Genus0Chain",
-           "chain_residue", "memo"]
+__all__ = ["e_poly", "w_poly", "numerator", "first_pole_cap", "midpoint", "genus0_constant",
+           "Genus0Chain", "chain_residue", "memo"]
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def w_poly(p: int, u: int, v: int, nvars: int) -> SparsePoly:
 
 
 def numerator(k: int, n: int, scalar, mono: tuple[int, ...], edges, ins_t,
-              loops: dict[int, int]) -> SparsePoly:
+              loops: dict[int, int], cap: tuple[int, int] | None = None) -> SparsePoly:
     """scalar * x^mono * prod_{(u,v) in edges} e_k(x_u, x_v) * prod_p s_p^{m_p}.
 
     The insertion sum of a layout is s_p = sum_{(u,v) in edges} w_p(x_u, x_v)
@@ -84,10 +84,16 @@ def numerator(k: int, n: int, scalar, mono: tuple[int, ...], edges, ins_t,
     at a time, edges first, so no two large polynomials are ever multiplied:
     for dense powers this beats squaring (Fateman, "On the computation of
     powers of sparse polynomials", Stud. Appl. Math. 53, 1974).
+
+    With cap = (v, c) the accumulator keeps only the terms of degree <= c in
+    x_v (``SparsePoly.mul_capped``).  Capped at ``first_pole_cap``, a
+    numerator keeps the terms its chain's first residue reads, so the chain
+    value is the same; it stays homogeneous, and if it is 0 the chain is 0.
     """
-    acc = SparsePoly(n, {mono: scalar})
+    mul = SparsePoly.__mul__ if cap is None else (lambda a, b: a.mul_capped(b, *cap))
+    acc = mul(SparsePoly.constant(scalar, n), SparsePoly(n, {mono: 1}))
     for u, v in edges:
-        acc = acc * e_poly(k, u, v, n)
+        acc = mul(acc, e_poly(k, u, v, n))
     for p, m in ins_t:
         s = SparsePoly.zero(n)
         for u, v in edges:
@@ -95,8 +101,19 @@ def numerator(k: int, n: int, scalar, mono: tuple[int, ...], edges, ins_t,
         for v, c in loops.items():
             s = s + w_poly(p, v, v, n).scale(c)
         for _ in range(m):
-            acc = acc * s
+            acc = mul(acc, s)
     return acc
+
+
+def first_pole_cap(den, steps) -> tuple[int, int] | None:
+    """(v, m - 1) when the chain opens with a residue at x_v = 0 of order m, else None.
+
+    That residue reads only the numerator's terms of degree below m in x_v.
+    """
+    v, mode = steps[0]
+    if mode != "zero":
+        return None
+    return v, sum(e for f, e in den if f.substitute(v, SparsePoly.zero(f.nvars)).is_zero()) - 1
 
 
 def midpoint(N: int, n: int, v: int, left: int, right: int,
@@ -163,5 +180,6 @@ def _integrand(N, k, d, a, b, ins_t, order="ascending"):
         steps.reverse()
     mono = (max(a, 0),) + (0,) * (d - 1) + (max(b, 0),)
     edges = [(j - 1, j) for j in range(1, d + 1)]
-    num = numerator(k, n, Fraction(1, k ** (d - 1)), mono, edges, ins_t, {})
+    num = numerator(k, n, Fraction(1, k ** (d - 1)), mono, edges, ins_t, {},
+                    first_pole_cap(den, steps))
     return RatExpr(num, den), steps, designated

@@ -24,17 +24,18 @@ root + eps,
 
 where a_0 runs over the x_v coefficients of the vanishing factors; the
 factors free of v stay in the denominator as they were.  Every intermediate
-stays polynomial, and each c keeps its generic pole order e + m - 1 in the
-factored denominator.
+stays polynomial.
 
-Normalization happens in this module alone.  Integrands enter a residue
-chain as built, never reduced: with P = eps^j P' the formula reads off the
-eps^{m-1-j} coefficient of P' / prod (c + a eps)^e, the same residue at the
-true order m - j.  So an overcounted pole order is harmless, and trial
-division before the chain would buy nothing.  ``reduce`` runs on every
-residue's output and cancels the linear factors that still divide its
-numerator: a power of some c = f(root) that the generic order e + m - 1
-overcounts, or a factor free of v.  That keeps the next step of the chain small.
+The pole is taken at its true order.  If P = eps^i P' (P_0 .. P_{i-1} zero),
+the formula reads off the eps^{m-1-i} coefficient of P' / prod (c + a eps)^e,
+the same residue at order m - i, so ``residue_at`` drops those zeros first,
+truncates S at the true order and gives each c the order e + m - i - 1; a
+numerator vanishing to order m or more gives 0.  Integrands therefore enter
+a residue chain as built, never reduced.  ``reduce`` runs on every residue's
+output and cancels the linear factors that still divide its numerator: a
+power of some c = f(root) whose order the numerator lowers further, or a
+factor free of v, a monomial x_u^e divided out in one pass.  That keeps the
+next step of the chain small.
 """
 
 from __future__ import annotations
@@ -140,6 +141,12 @@ class RatExpr:
                 lines.append((c, a, e))
         if m == 0:
             return RatExpr.zero(n)
+        # the true order: drop the numerator's leading zero orders in eps
+        P = self.num.shift_eps(v, root, m)
+        i0 = next((i for i, p in enumerate(P) if not p.is_zero()), m)
+        if i0 == m:
+            return RatExpr.zero(n)
+        P, m = P[i0:], m - i0
         S: list[SparsePoly] | None = None
         for c, a, e in lines:
             c_pow = [SparsePoly.constant(1, n), c][:m]
@@ -153,7 +160,6 @@ class RatExpr:
                 a_pow = a_pow * a
             S = series if S is None else _eps_mul(S, series, m)
             den.append((c, e + m - 1))
-        P = self.num.shift_eps(v, root, m)
         if S is None:
             R = P[m - 1]
         else:
@@ -170,11 +176,10 @@ class RatExpr:
     def reduce(self) -> RatExpr:
         """Cancel denominator factors of total degree 1 that divide the numerator.
 
-        Called on ``residue_at``'s output, where each f(root) carries its
-        generic order e + m - 1 and the numerator may still vanish on it or
-        on a factor free of the pole variable, and by ``as_fraction``.
-        Integrands are never reduced before their chain, because an
-        overcounted pole order is harmless.
+        Called on ``residue_at``'s output, where each f(root) carries the
+        order e + m - 1 for the true pole order m and the numerator may still
+        vanish on it or on a factor free of the pole variable, and by
+        ``as_fraction``.  A monomial factor goes in one pass.
         """
         num = self.num
         if num.is_zero():
@@ -183,11 +188,11 @@ class RatExpr:
         for f, e in self.den:
             if f.total_degree() == 1:
                 while e:
-                    q = num.divide_exact_linear(f)
+                    q = num.divide_exact_linear(f, e)
                     if q is None:
                         break
+                    e -= num.total_degree() - q.total_degree()
                     num = q
-                    e -= 1
             if e:
                 den.append((f, e))
         return RatExpr(num, den)

@@ -6,7 +6,7 @@ from math import comb
 
 from vsc.chain import residue_chain
 from vsc.elliptic import _graph_integrand, _hang_tails
-from vsc.genus0 import _integrand, numerator
+from vsc.genus0 import _integrand, e_poly, numerator, w_poly
 from vsc.graphs import sym_factor
 from vsc.hypersurface import Hypersurface, ins_key
 from vsc.poly import SparsePoly, linear_form
@@ -194,6 +194,26 @@ def genus0_direct(N: int, k: int, d: int, a: int, b: int,
     if d < 1:
         raise ValueError("need d >= 1")
     return residue_chain(*_integrand(N, k, d, a, b, ins_key(ins)))
+
+
+def uncapped_numerator(k, n, scalar, mono, edges, ins_t, loops, cap=None):
+    """genus0.numerator with every term kept, whatever the cap.
+
+    The engine drops the terms that its chain's first residue does not read;
+    this reference builds the whole product, edges first.
+    """
+    acc = SparsePoly(n, {mono: scalar})
+    for u, v in edges:
+        acc = acc * e_poly(k, u, v, n)
+    for p, m in ins_t:
+        s = SparsePoly.zero(n)
+        for u, v in edges:
+            s = s + w_poly(p, u, v, n)
+        for v, c in loops.items():
+            s = s + w_poly(p, v, v, n).scale(c)
+        for _ in range(m):
+            acc = acc * s
+    return acc
 
 
 def reduced_graph_residue(N: int, k: int, graph, ins_t) -> Fraction:

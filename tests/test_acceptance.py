@@ -6,7 +6,6 @@ high-degree jobs carry the `extended` marker and do not gate the default
 run (`pytest -m extended` enables them).
 """
 
-import random
 import time
 from fractions import Fraction
 
@@ -14,9 +13,10 @@ import pytest
 
 from vsc.calabi_yau import (alternating_two_point_sum, cy_report,
                             family_series, ltilde_zero_closed)
-from vsc.elliptic import elliptic_constant, graph_residue
+from vsc.chain import residue_chain
+from vsc.elliptic import _graph_integrand, elliptic_constant
 from vsc.genus0 import genus0_constant
-from vsc.graphs import ClusterStarGraph, graphs_of_degree, partitions
+from vsc.graphs import ClusterStarGraph, graphs_of_degree
 from vsc.hypersurface import Hypersurface
 from vsc.pipeline import gw_table, invert_corrections, mirror_corrections
 from vsc.series import TruncatedSeries, substitute
@@ -147,26 +147,17 @@ def test_quintic_genus_one_identities():
 # -- property suite ----------------------------------------------------------
 
 def test_cluster_vanishing_on_calabi_yau():
-    rng = random.Random(20260823)
-    cluster_graphs = [ClusterStarGraph(f, sigma)
-                      for d in (2, 3) for f in range(1, d)
-                      for sigma in partitions(d - f)]
+    # N = k admits no p >= 2 insertion, so the empty set is the only one that
+    # meets the selection rule; test_elliptic covers the clusters of degree <= 3
+    cluster_graphs = [g for g in graphs_of_degree(4) if isinstance(g, ClusterStarGraph)]
     ok = True
     for N in (4, 5):
-        vectors = set()
-        while len(vectors) < 10:
-            if N == 4:
-                vec = ((2, rng.randint(1, 12)),)
-            else:
-                m2, m3 = rng.randint(0, 4), rng.randint(0, 3)
-                if not (m2 or m3):
-                    continue
-                vec = (((2, m2),) if m2 else ()) + (((3, m3),) if m3 else ())
-            vectors.add(vec)
-        for vec in sorted(vectors):
-            for g in cluster_graphs:
-                ok = ok and graph_residue(N, N, g, vec) == 0
-    _report("cluster residues vanish for N=k, 10 random insertion vectors", ok)
+        assert Hypersurface(N, N).genus1_selection(4, {})
+        for g in cluster_graphs:
+            f, steps, designated = _graph_integrand(N, N, g, ())
+            assert not f.is_zero(), g
+            ok = ok and residue_chain(f, steps, designated) == 0
+    _report("cluster residues vanish for N=k, every cluster of degree 4", ok)
 
 
 def test_star_sums_match_log_ltilde():

@@ -1,5 +1,6 @@
 """Golden values and invariants for the genus-0 residue engine."""
 
+import functools
 import re
 from fractions import Fraction
 
@@ -7,12 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vsc import elliptic, genus0
+from vsc.calabi_yau import _loop_weights
 from vsc.chain import residue_chain, root_in_var
-from vsc.elliptic import elliptic_constant
-from vsc.genus0 import e_poly, genus0_constant, numerator, w_poly
+from vsc.elliptic import _graph_integrand, elliptic_constant
+from vsc.genus0 import _integrand, e_poly, genus0_constant, numerator, w_poly
+from vsc.graphs import PointGraph, StarGraph, graphs_of_degree
+from vsc.hypersurface import ins_key
+from vsc.pipeline import _constant_sets, weighted_insertions
 from vsc.poly import SparsePoly
 
-from oracles import genus0_direct, poly_mul, subst_zero
+from oracles import genus0_direct, poly_mul, subst_zero, uncapped_numerator
 
 F = Fraction
 
@@ -80,8 +86,43 @@ def test_numerator_matches_literal_product(data):
                                      max_size=2)))
     mono = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     scalar = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=7))
-    assert numerator(k, n, scalar, mono, edges, ins_t, loops) == \
-        _literal_numerator(k, n, scalar, mono, edges, ins_t, loops)
+    literal = _literal_numerator(k, n, scalar, mono, edges, ins_t, loops)
+    assert numerator(k, n, scalar, mono, edges, ins_t, loops) == literal
+    # capped at degree c in x_v: exactly the literal terms within the cap
+    v, c = data.draw(vertex), data.draw(st.integers(-1, 8))
+    assert numerator(k, n, scalar, mono, edges, ins_t, loops, (v, c)) == \
+        SparsePoly(n, {e: x for e, x in literal.items() if e[v] <= c})
+
+
+def _star_point_and_genus0_builds(N, k, dmax):
+    # every star, point and genus-0 job (both orders) of gw_table(N, k, dmax),
+    # or of cy_report(k, dmax) when N = k, as integrand builders
+    slots = ([(k - 2 - m, m - 1) for m in sorted({0, 1, *_loop_weights(k)})] if N == k else
+             [(N - 2 - p, 0) for p in range(1, N - 1)] + ([(1, 1)] if N == 5 else []))
+    builds = [functools.partial(_integrand, N, k, d, a, b, ins_key(ins), order)
+              for a, b in slots for d, ins in _constant_sets(N, k, dmax, a, b)
+              for order in ("ascending", "descending")]
+    for d in range(1, dmax + 1):
+        for ins in weighted_insertions(N, (N - k) * d):
+            builds += [functools.partial(_graph_integrand, N, k, g, ins_key(ins))
+                       for g in graphs_of_degree(d) if isinstance(g, (StarGraph, PointGraph))]
+    return builds
+
+
+def test_capped_numerators_give_the_same_chain_values(monkeypatch):
+    builds = [b for job in [(5, 1, 3), (5, 2, 3), (4, 1, 4), (5, 5, 4)]
+              for b in _star_point_and_genus0_builds(*job)]
+    capped = [build() for build in builds]
+    monkeypatch.setattr(genus0, "numerator", uncapped_numerator)
+    monkeypatch.setattr(elliptic, "numerator", uncapped_numerator)
+    full = [build() for build in builds]
+    smaller = nonzero = 0
+    for (f, steps, designated), (g, _, _) in zip(capped, full):
+        value = residue_chain(f, steps, designated)
+        assert value == residue_chain(g, steps, designated)
+        smaller += len(f.num.terms) < len(g.num.terms)
+        nonzero += value != 0
+    assert smaller > len(builds) // 4 and nonzero > len(builds) // 2
 
 
 def test_bad_order_rejected_before_any_shortcut():

@@ -64,6 +64,11 @@ def test_divide_exact_linear():
     assert x.divide_exact_linear(f) is None
     q = (4 * x * y * z).divide_exact_linear(2 * x)
     assert q == 2 * y * z
+    # a monomial divides out up to `most` times in one pass, as far as it goes
+    p = x * x * x * y + 5 * x * x * z
+    assert p.divide_exact_linear(2 * x, 5) == (x * y + 5 * z).scale(F(1, 4))
+    assert p.divide_exact_linear(x, 1) == x * x * y + 5 * x * z
+    assert p.divide_exact_linear(y, 5) is None
 
 
 def test_linear_form_builder():
@@ -281,6 +286,37 @@ def test_residue_matches_derivative_formula_random(data):
     manual = substitute(manual, 0, root)
     expected = RatExpr(manual.num.scale(F(1, factorial(m - 1))), manual.den)
     assert equals(f.residue_at(0, root), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_residue_at_true_order_matches_derivative_formula(data):
+    # a numerator times (v-root)^j, j = 0..m+1, lowers the pole to order m - j:
+    # the residue still matches the derivative formula at the counted order m,
+    # and it is 0 for j >= m
+    small = st.integers(-3, 3)
+    root = linear_form({1: data.draw(small), 2: data.draw(small)}, 3)
+    m = data.draw(st.integers(1, 4))
+    j = data.draw(st.integers(0, m + 1))
+    den = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        g = linear_form({i: data.draw(small) for i in range(3)}, 3) + data.draw(small)
+        if not poly_substitute(g, 0, root).is_zero():
+            den.append((g, data.draw(st.integers(1, 6))))
+    if not root.is_zero():
+        den.append((var(0), data.draw(st.integers(0, 6))))  # x_v^e off its pole
+    num = data.draw(_poly_in(3))
+    for _ in range(j):
+        num = num * (var(0) - root)
+    manual = RatExpr(num, den)
+    for _ in range(m - 1):
+        manual = derivative(manual, 0)
+    manual = substitute(manual, 0, root)
+    expected = RatExpr(manual.num.scale(F(1, factorial(m - 1))), manual.den)
+    got = RatExpr(num, [(var(0) - root, m)] + den).residue_at(0, root)
+    assert equals(got, expected)
+    if j >= m:
+        assert got.is_zero()
 
 
 def test_residue_rejects_nonlinear_vanishing_factor():
