@@ -26,7 +26,9 @@ ENV_VAR = "VSC_CACHE"
 # elliptic.py or genus0._integrand, or the shared builders genus0.numerator
 # and genus0.midpoint that assemble every one of them.  A change to an
 # integrand that keeps every chain value keeps the schema: numerators capped
-# at the first pole drop terms that no residue reads, so records stay right.
+# at the first pole drop terms that no residue reads, and a cluster layout
+# written in u = w - z_core instead of w takes the same residue, so records
+# stay right.
 SCHEMA = 1
 
 _DECIMAL = re.compile(r"-?[0-9]+")

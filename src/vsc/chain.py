@@ -5,8 +5,7 @@ Variables are eliminated one at a time.  A step is (variable, mode):
   "zero"  residue at 0 only;
   "both"  residues at 0 and at the root of the variable's designated
           denominator factor, as that factor looks after all preceding
-          substitutions;
-  "root"  residue at the designated root only (no pole at 0 is taken).
+          substitutions.
 
 Pole order at each point is whatever the vanishing denominator factors say,
 so a designated factor that merged with others or drifted onto 0 is still
@@ -43,8 +42,8 @@ def residue_chain(
 ) -> Fraction:
     """Sum of iterated residues over all admissible pole branches.
 
-    steps: (variable, mode) in elimination order, mode one of "zero", "both",
-    "root".  designated maps a variable to its designated denominator factor
+    steps: (variable, mode) in elimination order, mode "zero" or "both".
+    designated maps a variable to its designated denominator factor
     in the original coordinates; factors are evolved through every
     substitution as the chain descends.  Homogeneity is checked at entry (a
     chain of s residues turns an integrand of degree -s into a constant) and
@@ -63,14 +62,11 @@ def residue_chain(
                 stats["leaves"] = stats.get("leaves", 0) + 1
             return g.as_fraction()
         v, mode = steps[pos]
-        roots = [] if mode == "root" else [SparsePoly.zero(g.nvars)]
-        if mode in ("both", "root"):
-            form = pending.get(v)
-            if form is not None:
-                root = root_in_var(form, v)
-                if root is not None and (mode == "root" or not root.is_zero()):
-                    if not any(root == r for r in roots):
-                        roots.append(root)
+        roots = [SparsePoly.zero(g.nvars)]
+        if mode == "both" and v in pending:
+            root = root_in_var(pending[v], v)
+            if root is not None and not root.is_zero():
+                roots.append(root)
         total = Fraction(0)
         for root in roots:
             res = g.residue_at(v, root)

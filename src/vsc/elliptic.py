@@ -8,7 +8,8 @@ own variable layout together with a residue schedule:
            tail variables at 0 and at the evolved midpoint root, the tail
            end at 0 only;
   loop     cyclic chain, every variable at 0 and at its evolved root;
-  cluster  contracted variable w at its root w = z_0 only, then the star
+  cluster  the contracted variable w is written as w = z_0 + u, and u is
+           taken at 0 only (the double pole at w = z_0), then the star
            schedule; its two contraction terms -(N-1)/N w^-N and
            -(N+1)/N z_0^-N share one denominator, so a cluster is one
            integrand and one chain like every other graph; these residues
@@ -20,8 +21,10 @@ own variable layout together with a residue schedule:
 Each builder only describes its layout; genus0.numerator and
 genus0.midpoint assemble the integrand from it.  A star or cluster tail is
 a path that hangs on the core, a loop is a cycle, a cluster adds the edge
-(w, core) and a self-loop of weight f - 1 on the core, and a point is one
-vertex with a self-loop of weight d.
+(u + z_core, core) and a self-loop of weight f - 1 on the core, and a point
+is one vertex with a self-loop of weight d.  Every graph whose chain opens
+with a residue at 0 (all but loops) builds its numerator only below that
+first pole (genus0.first_pole_cap).
 
 Insertions with p = 0 kill the constant and each p = 1 insertion multiplies
 it by d; both are applied analytically before the graph sum.
@@ -34,6 +37,7 @@ their mirror maps read, and it meets the disk cache and the pool for all.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .cache import ResidueCache, chain_key, graph_key
 from .chain import residue_chain
@@ -92,7 +96,7 @@ def _star_terms(N: int, k: int, sigma: tuple[int, ...], ins_t: InsT):
     designated: dict[int, SparsePoly] = {}
     steps: list[tuple[int, str]] = [(core, "zero")]
     edges = _hang_tails(N, n, core, sigma, den, designated, steps)
-    num = numerator(k, n, scalar, (N - 2,) + (0,) * d, edges, ins_t, {},
+    num = numerator(k, SparsePoly(n, {(N - 2,) + (0,) * d: scalar}), edges, ins_t, {},
                     first_pole_cap(den, steps))
     return RatExpr(num, den), steps, designated
 
@@ -103,39 +107,44 @@ def _loop_terms(N: int, k: int, d: int, ins_t: InsT):
     for t in range(d):
         midpoint(N, d, t, (t - 1) % d, (t + 1) % d, den, designated)
     edges = [(t, (t + 1) % d) for t in range(d)]
-    num = numerator(k, d, Fraction(1, 2 * d) / k**d, (0,) * d, edges, ins_t, {})
+    num = numerator(k, SparsePoly.constant(Fraction(1, 2 * d) / k**d, d), edges, ins_t, {})
     return RatExpr(num, den), [(t, "both") for t in range(d)], designated
 
 
 def _cluster_terms(N: int, k: int, f: int, sigma: tuple[int, ...], ins_t: InsT):
     d, l = f + sum(sigma), len(sigma)
     n = 2 + sum(sigma)
-    w, core = 0, 1
+    u, core = 0, 1
     # The cluster vertex has valence l + 1 (l tails plus the edge to w), so its
     # vertex factor carries (k z_core)^l, one power more than an elliptic core.
     # With l - 1 the integrand would sit one degree too high for its chain;
     # l lands it exactly at minus the step count, and keeps N = k at zero.
     # The contraction terms -(N-1)/N w^-N and -(N+1)/N z_core^-N share one
     # denominator: w^N z_core^N below, -((N-1) z_core^N + (N+1) w^N)/N above.
+    # The layout is written in u = w - z_core, so the chain opens with the
+    # double pole at u = 0 and the numerator is built only to degree 1 in u.
     scalar = -sym_factor(sigma) * Fraction(k) ** (k * (f - 1) - 1) / (24 * N * k ** (d - f))
-    contracted = linear_form({w: 1, core: -1}, n)
-    den = [(contracted, 2), (SparsePoly.variable(w, n), N + 1),
+    w = linear_form({u: 1, core: 1}, n)
+    den = [(SparsePoly.variable(u, n), 2), (w, N + 1),
            (SparsePoly.variable(core, n), l + N * f)]
-    designated: dict[int, SparsePoly] = {w: contracted}
-    steps: list[tuple[int, str]] = [(w, "root"), (core, "zero")]
+    designated: dict[int, SparsePoly] = {}
+    steps: list[tuple[int, str]] = [(u, "zero"), (core, "zero")]
     # the contracted loop is the edge (w, core) and a self-loop of weight f - 1
     edges = [(w, core)] + _hang_tails(N, n, core, sigma, den, designated, steps)
     tails = (0,) * sum(sigma)
-    split = SparsePoly(n, {(0, N) + tails: N - 1, (N, 0) + tails: N + 1})
-    num = numerator(k, n, scalar, (0, k * (f - 1)) + tails, edges, ins_t, {core: f - 1})
-    return RatExpr(num * split, den), steps, designated
+    w_pow = SparsePoly(n, {(j, N - j) + tails: comb(N, j) for j in range(N + 1)})
+    split = w_pow.scale(N + 1) + SparsePoly(n, {(0, N) + tails: N - 1})
+    lead = split * SparsePoly(n, {(0, k * (f - 1)) + tails: scalar})
+    num = numerator(k, lead, edges, ins_t, {core: f - 1}, first_pole_cap(den, steps))
+    return RatExpr(num, den), steps, designated
 
 
 def _point_terms(N: int, k: int, d: int, ins_t: InsT):
     # one vertex carrying a self-loop of weight d
     scalar = r_factor(N, k, d) * Fraction(k) ** (k * d) / 24
     den, steps = [(SparsePoly.variable(0, 1), N * d + 1)], [(0, "zero")]
-    num = numerator(k, 1, scalar, (k * d,), [], ins_t, {0: d}, first_pole_cap(den, steps))
+    num = numerator(k, SparsePoly(1, {(k * d,): scalar}), [], ins_t, {0: d},
+                    first_pole_cap(den, steps))
     return RatExpr(num, den), steps, {}
 
 

@@ -15,10 +15,13 @@ poles at 0; each interior z_i also at the root of its factor
 A slot value of -1 moves that endpoint power into the denominator.
 
 Every residue-chain integrand of either genus is described by its layout:
-a vertex monomial, a list of edges and self-loop weights, which
+a leading polynomial (a scaled vertex monomial, for a cluster also its
+contraction factor), a list of edges and self-loop weights, which
 ``numerator`` turns into the numerator, and one ``midpoint`` call per
-interior chain vertex for its denominator piece.  The genus-0 chain is the
-path 0, 1, ..., d; elliptic.py describes the genus-1 graphs the same way.
+interior chain vertex for its denominator piece.  An edge ends at a
+variable or at a linear form, such as w = z_core + u of a cluster.  The
+genus-0 chain is the path 0, 1, ..., d; elliptic.py describes the genus-1
+graphs the same way.
 """
 
 from __future__ import annotations
@@ -53,53 +56,61 @@ class Genus0Chain:
 memo: dict[tuple, Fraction] = {}
 
 
-def e_poly(k: int, u: int, v: int, nvars: int) -> SparsePoly:
-    """e_k(x_u, x_v), the Euler factor of one chain edge, expanded."""
-    out = SparsePoly.constant(1, nvars)
+def e_poly(k: int, x: SparsePoly, y: SparsePoly) -> SparsePoly:
+    """e_k(x, y) = prod_j (j x + (k-j) y) for linear forms x, y: the Euler factor of an edge."""
+    out = SparsePoly.constant(1, x.nvars)
     for j in range(k + 1):
-        out = out * linear_form({u: j, v: k - j}, nvars)
+        out = out * (x.scale(j) + y.scale(k - j))
     return out
 
 
-def w_poly(p: int, u: int, v: int, nvars: int) -> SparsePoly:
-    """w_p(x_u, x_v) = sum_{j<p} x_u^j x_v^{p-1-j}; w_0 = 0, w_1 = 1.
+def w_poly(p: int, x: SparsePoly, y: SparsePoly) -> SparsePoly:
+    """w_p(x, y) = sum_{j<p} x^j y^{p-1-j} for linear forms x, y.
 
-    Exponents accumulate, so u = v gives the diagonal value p x_u^{p-1}.
+    w_0 = 0, w_1 = 1, and a self-loop x = y gives the diagonal value p x^{p-1}.
     """
-    out = SparsePoly.zero(nvars)
+    xs, ys = [SparsePoly.constant(1, x.nvars)], [SparsePoly.constant(1, x.nvars)]
+    for _ in range(p - 1):
+        xs.append(xs[-1] * x)
+        ys.append(ys[-1] * y)
+    out = SparsePoly.zero(x.nvars)
     for j in range(p):
-        e = [0] * nvars
-        e[u] += j
-        e[v] += p - 1 - j
-        out = out + SparsePoly(nvars, {tuple(e): Fraction(1)})
+        out = out + xs[j] * ys[p - 1 - j]
     return out
 
 
-def numerator(k: int, n: int, scalar, mono: tuple[int, ...], edges, ins_t,
+def numerator(k: int, lead: SparsePoly, edges, ins_t,
               loops: dict[int, int], cap: tuple[int, int] | None = None) -> SparsePoly:
-    """scalar * x^mono * prod_{(u,v) in edges} e_k(x_u, x_v) * prod_p s_p^{m_p}.
+    """lead * prod_{(x,y) in edges} e_k(x, y) * prod_p s_p^{m_p}.
 
-    The insertion sum of a layout is s_p = sum_{(u,v) in edges} w_p(x_u, x_v)
+    An edge endpoint is a variable index or a linear form (a SparsePoly);
+    indices become variables on entry, so e_k and w_p see forms only.
+    The insertion sum of a layout is s_p = sum_{(x,y) in edges} w_p(x, y)
     + sum_v loops[v] w_p(x_v, x_v).  One accumulator takes one small factor
     at a time, edges first, so no two large polynomials are ever multiplied:
     for dense powers this beats squaring (Fateman, "On the computation of
     powers of sparse polynomials", Stud. Appl. Math. 53, 1974).
 
     With cap = (v, c) the accumulator keeps only the terms of degree <= c in
-    x_v (``SparsePoly.mul_capped``).  Capped at ``first_pole_cap``, a
-    numerator keeps the terms its chain's first residue reads, so the chain
-    value is the same; it stays homogeneous, and if it is 0 the chain is 0.
+    x_v (``SparsePoly.mul_capped``), those of lead included.  Capped at
+    ``first_pole_cap``, a numerator keeps the terms its chain's first residue
+    reads, so the chain value is the same; it stays homogeneous, and if it
+    is 0 the chain is 0.
     """
+    n = lead.nvars
     mul = SparsePoly.__mul__ if cap is None else (lambda a, b: a.mul_capped(b, *cap))
-    acc = mul(SparsePoly.constant(scalar, n), SparsePoly(n, {mono: 1}))
-    for u, v in edges:
-        acc = mul(acc, e_poly(k, u, v, n))
+    edges = [tuple(SparsePoly.variable(x, n) if isinstance(x, int) else x for x in edge)
+             for edge in edges]
+    acc = mul(SparsePoly.constant(1, n), lead)
+    for x, y in edges:
+        acc = mul(acc, e_poly(k, x, y))
     for p, m in ins_t:
         s = SparsePoly.zero(n)
-        for u, v in edges:
-            s = s + w_poly(p, u, v, n)
+        for x, y in edges:
+            s = s + w_poly(p, x, y)
         for v, c in loops.items():
-            s = s + w_poly(p, v, v, n).scale(c)
+            x = SparsePoly.variable(v, n)
+            s = s + w_poly(p, x, x).scale(c)
         for _ in range(m):
             acc = mul(acc, s)
     return acc
@@ -180,6 +191,6 @@ def _integrand(N, k, d, a, b, ins_t, order="ascending"):
         steps.reverse()
     mono = (max(a, 0),) + (0,) * (d - 1) + (max(b, 0),)
     edges = [(j - 1, j) for j in range(1, d + 1)]
-    num = numerator(k, n, Fraction(1, k ** (d - 1)), mono, edges, ins_t, {},
+    num = numerator(k, SparsePoly(n, {mono: Fraction(1, k ** (d - 1))}), edges, ins_t, {},
                     first_pole_cap(den, steps))
     return RatExpr(num, den), steps, designated

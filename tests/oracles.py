@@ -196,21 +196,25 @@ def genus0_direct(N: int, k: int, d: int, a: int, b: int,
     return residue_chain(*_integrand(N, k, d, a, b, ins_key(ins)))
 
 
-def uncapped_numerator(k, n, scalar, mono, edges, ins_t, loops, cap=None):
+def uncapped_numerator(k, lead, edges, ins_t, loops, cap=None):
     """genus0.numerator with every term kept, whatever the cap.
 
     The engine drops the terms that its chain's first residue does not read;
     this reference builds the whole product, edges first.
     """
-    acc = SparsePoly(n, {mono: scalar})
-    for u, v in edges:
-        acc = acc * e_poly(k, u, v, n)
+    n = lead.nvars
+    edges = [tuple(SparsePoly.variable(x, n) if isinstance(x, int) else x for x in edge)
+             for edge in edges]
+    acc = lead
+    for x, y in edges:
+        acc = acc * e_poly(k, x, y)
     for p, m in ins_t:
         s = SparsePoly.zero(n)
-        for u, v in edges:
-            s = s + w_poly(p, u, v, n)
+        for x, y in edges:
+            s = s + w_poly(p, x, y)
         for v, c in loops.items():
-            s = s + w_poly(p, v, v, n).scale(c)
+            x = SparsePoly.variable(v, n)
+            s = s + w_poly(p, x, x).scale(c)
         for _ in range(m):
             acc = acc * s
     return acc
@@ -231,8 +235,10 @@ def cluster_by_halves(N: int, k: int, graph, ins_t) -> Fraction:
 
     The contraction terms -(N-1)/N w^-N and -(N+1)/N z_core^-N are built as
     separate integrands over the shared numerator, schedule and designated
-    factors, each with its own residue chain; the engine puts them over one
-    denominator and walks one chain.
+    factors, in the contracted variable w itself; each takes its residue at
+    w = z_core here and then walks the rest of the chain.  The engine puts
+    both terms over one denominator, writes the layout in u = w - z_core and
+    walks one chain.
     """
     f, sigma = graph.f, graph.sigma
     d, l = f + sum(sigma), len(sigma)
@@ -240,20 +246,20 @@ def cluster_by_halves(N: int, k: int, graph, ins_t) -> Fraction:
     w, core = 0, 1
     scalar = sym_factor(sigma) * Fraction(1, 24) * Fraction(k) ** (k * (f - 1) - 1) / k ** (
         l) / k ** (d - f - l)
-    contracted = linear_form({w: 1, core: -1}, n)
-    den = [(contracted, 2), (SparsePoly.variable(w, n), 1),
+    den = [(linear_form({w: 1, core: -1}, n), 2), (SparsePoly.variable(w, n), 1),
            (SparsePoly.variable(core, n), l + N * (f - 1))]
-    designated = {w: contracted}
-    steps = [(w, "root"), (core, "zero")]
+    designated: dict = {}
+    steps = [(core, "zero")]
     edges = [(w, core)] + _hang_tails(N, n, core, sigma, den, designated, steps)
     mono = (0, k * (f - 1)) + (0,) * sum(sigma)
-    num = numerator(k, n, scalar, mono, edges, ins_t, {core: f - 1})
+    num = numerator(k, SparsePoly(n, {mono: scalar}), edges, ins_t, {core: f - 1})
     half_w = RatExpr(num.scale(Fraction(-(N - 1), N)),
                      den + [(SparsePoly.variable(w, n), N)])
     half_core = RatExpr(num.scale(Fraction(-(N + 1), N)),
                         den + [(SparsePoly.variable(core, n), N)])
-    return residue_chain(half_w, steps, designated) + \
-        residue_chain(half_core, steps, designated)
+    at_core = SparsePoly.variable(core, n)
+    return sum((residue_chain(half.residue_at(w, at_core), steps, designated)
+                for half in (half_w, half_core)), Fraction(0))
 
 
 @cache
@@ -302,3 +308,35 @@ def _p3_quadratic(d: int, a: int, b: int, ijkl: tuple[int, int, int, int]) -> in
                         _p3_derivative((i, k, e), *lo) * _p3_derivative((3 - e, j, l), *hi)
                         - _p3_derivative((i, j, e), *lo) * _p3_derivative((3 - e, k, l), *hi))
     return total
+
+
+@cache
+def p2_genus0(d: int) -> int:
+    """Rational plane curves of degree d through 3d - 1 general points.
+
+    Kontsevich's recursion (Kontsevich-Manin, hep-th/9402147): 1, 1, 12,
+    620, 87304, 26312976 for d = 1..6.
+    """
+    if d == 1:
+        return 1
+    return sum(p2_genus0(a) * p2_genus0(d - a) * a * a * (d - a)
+               * ((d - a) * comb(3 * d - 4, 3 * a - 2) - a * comb(3 * d - 4, 3 * a - 1))
+               for a in range(1, d))
+
+
+@cache
+def p2_genus1(d: int) -> int:
+    """Elliptic plane curves of degree d through 3d general points.
+
+    The Eguchi-Hori-Xiong recursion (hep-th/9605225; Getzler,
+    alg-geom/9612004), independent of every residue engine:
+        E_d = C(d,3)/12 N_d
+              + sum_{d1+d2=d} C(3d-1, 3d1-1) d1 d2 (3d1-2)/9 N_{d1} E_{d2},
+    with N_d = p2_genus0(d).  It gives 0, 0, 1, 225, 87192, 57435240 for d = 1..6.
+    """
+    e = Fraction(comb(d, 3), 12) * p2_genus0(d) + sum(
+        Fraction(comb(3 * d - 1, 3 * d1 - 1) * d1 * (d - d1) * (3 * d1 - 2), 9)
+        * p2_genus0(d1) * p2_genus1(d - d1) for d1 in range(1, d))
+    if e.denominator != 1:
+        raise ValueError(f"E_{d} = {e} is not an integer")
+    return e.numerator

@@ -21,7 +21,7 @@ from vsc.hypersurface import Hypersurface
 from vsc.pipeline import gw_table, invert_corrections, mirror_corrections
 from vsc.series import TruncatedSeries, substitute
 
-from oracles import p3_invariant
+from oracles import p2_genus1, p3_invariant
 
 
 def _report(name: str, ok: bool):
@@ -38,8 +38,9 @@ def test_projective_plane_table():
     ok = ([r.w1 for r in rows] ==
           [Fraction(-3, 8), Fraction(-63), Fraction(-77789)])
     ok = ok and [r.n1 for r in rows] == [0, 0, 1]
+    ok = ok and [r.n1 for r in rows] == [p2_genus1(r.d) for r in rows]
     ok = ok and elapsed < 120
-    _report(f"degree-1 surface table d<=3 ({elapsed:.1f}s)", ok)
+    _report(f"degree-1 surface table d<=3, n1 against Eguchi-Hori-Xiong ({elapsed:.1f}s)", ok)
 
 
 def test_quadric_and_cubic_surface_tables():
@@ -226,14 +227,17 @@ def test_mirror_roundtrip():
 
 @pytest.mark.extended
 def test_extended_surface_high_degrees():
-    rows = gw_table(4, 1, 5)
-    ok = [r.n1 for r in rows[3:]] == [225, 87192]
-    ok = ok and [r.w1 for r in rows[3:]] == \
+    t0 = time.monotonic()
+    rows = gw_table(4, 1, 6)
+    elapsed = time.monotonic() - t0
+    ok = [r.n1 for r in rows[3:]] == [225, 87192, 57435240]
+    ok = ok and [r.n1 for r in rows] == [p2_genus1(r.d) for r in rows]
+    ok = ok and [r.w1 for r in rows[3:5]] == \
         [Fraction(-320162385), Fraction(-3123359504298)]
     rows = gw_table(4, 2, 4)
     ok = ok and (rows[3].n1, rows[3].n1_norm, rows[3].w1) == \
         (256, 1, Fraction(-29153744))
-    _report("surface tables at d=4,5", ok)
+    _report(f"surface tables at d=4..6 (gw_table(4,1,6) {elapsed:.1f}s)", ok)
 
 
 HIGH_DEGREE_ROWS = {

@@ -13,12 +13,12 @@ from vsc.calabi_yau import _loop_weights
 from vsc.chain import residue_chain, root_in_var
 from vsc.elliptic import _graph_integrand, elliptic_constant
 from vsc.genus0 import _integrand, e_poly, genus0_constant, numerator, w_poly
-from vsc.graphs import PointGraph, StarGraph, graphs_of_degree
+from vsc.graphs import ClusterStarGraph, PointGraph, StarGraph, graphs_of_degree
 from vsc.hypersurface import ins_key
 from vsc.pipeline import _constant_sets, weighted_insertions
-from vsc.poly import SparsePoly
+from vsc.poly import SparsePoly, linear_form
 
-from oracles import genus0_direct, poly_mul, subst_zero, uncapped_numerator
+from oracles import genus0_direct, poly_mul, poly_pow, subst_zero, uncapped_numerator
 
 F = Fraction
 
@@ -28,41 +28,53 @@ def test_e_poly_basic_identities():
     # so e_k(0, y) = 0; e_1(x, y) = x y
     n = 2
     x, y = SparsePoly.variable(0, n), SparsePoly.variable(1, n)
-    assert e_poly(1, 0, 1, n) == x * y
-    e3 = e_poly(3, 0, 1, n)
+    assert e_poly(1, x, y) == x * y
+    e3 = e_poly(3, x, y)
     assert e3.substitute(0, y) == SparsePoly(n, {(0, 4): 3 ** 4})
     assert subst_zero(e3, 0).is_zero()
     assert e3.homogeneous_degree() == 4
+    # an endpoint may be a linear form: e_2(x + y, y) = 2y (x + 2y) (2x + 2y)
+    assert e_poly(2, x + y, y) == y.scale(2) * (x + y.scale(2)) * (x + y).scale(2)
 
 
 def test_w_poly_basic_identities():
     n = 2
     x, y = SparsePoly.variable(0, n), SparsePoly.variable(1, n)
-    assert w_poly(0, 0, 1, n).is_zero()
-    assert w_poly(1, 0, 1, n) == SparsePoly.constant(1, n)
-    assert w_poly(3, 0, 1, n) == x * x + x * y + y * y
+    assert w_poly(0, x, y).is_zero()
+    assert w_poly(1, x, y) == SparsePoly.constant(1, n)
+    assert w_poly(3, x, y) == x * x + x * y + y * y
     # w_a(z, z) = a z^{a-1}
-    assert w_poly(4, 0, 1, n).substitute(0, y) == SparsePoly(n, {(0, 3): 4})
+    assert w_poly(4, x, y).substitute(0, y) == SparsePoly(n, {(0, 3): 4})
+    assert w_poly(4, y, y) == SparsePoly(n, {(0, 3): 4})
+    # an endpoint may be a linear form
+    assert w_poly(3, x + y, y) == (x + y) * (x + y) + (x + y) * y + y * y
 
 
 def _literal_numerator(k, n, scalar, mono, edges, ins_t, loops):
     # the product written out factor by factor, every factor multiplied with
-    # the Fraction schoolbook poly_mul
+    # the Fraction schoolbook poly_mul; an edge endpoint is a variable index
+    # or a linear form {variable: coefficient}
     def mono_poly(c, exps):
         e = [0] * n
         for v, x in exps:
             e[v] += x
         return SparsePoly(n, {tuple(e): c})
 
+    def form(x):
+        coeffs = {x: 1} if isinstance(x, int) else x
+        return SparsePoly(n, {tuple(int(u == v) for u in range(n)): c
+                              for v, c in coeffs.items()})
+
     out = mono_poly(scalar, enumerate(mono))
-    for u, v in edges:
+    edges = [(form(x), form(y)) for x, y in edges]
+    for x, y in edges:
         for j in range(k + 1):
-            out = poly_mul(out, mono_poly(j, [(u, 1)]) + mono_poly(k - j, [(v, 1)]))
+            out = poly_mul(out, x.scale(j) + y.scale(k - j))
     for p, m in ins_t:
         s = SparsePoly.zero(n)
         for j in range(p):
-            for u, v in edges:
-                s = s + mono_poly(1, [(u, j), (v, p - 1 - j)])
+            for x, y in edges:
+                s = s + poly_mul(poly_pow(x, j), poly_pow(y, p - 1 - j))
             for v, c in loops.items():
                 s = s + mono_poly(c, [(v, p - 1)])
         for _ in range(m):
@@ -76,7 +88,9 @@ def test_numerator_matches_literal_product(data):
     n = data.draw(st.integers(1, 3))
     k = data.draw(st.integers(1, 4))
     vertex = st.integers(0, n - 1)
-    edges = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+    # an endpoint is a variable or a linear form, as the cluster edge (u + z_core, z_core)
+    end = st.one_of(vertex, st.dictionaries(vertex, st.integers(-2, 2), min_size=1, max_size=2))
+    edges = data.draw(st.lists(st.tuples(end, end).filter(lambda e: e[0] != e[1]),
                                max_size=3) if n > 1 else st.just([]))
     # a cycle through every vertex, as a loop graph has
     if n > 1 and data.draw(st.booleans()):
@@ -87,16 +101,19 @@ def test_numerator_matches_literal_product(data):
     mono = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     scalar = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=7))
     literal = _literal_numerator(k, n, scalar, mono, edges, ins_t, loops)
-    assert numerator(k, n, scalar, mono, edges, ins_t, loops) == literal
+    lead = SparsePoly(n, {mono: scalar})
+    forms = [tuple(x if isinstance(x, int) else linear_form(x, n) for x in e) for e in edges]
+    assert numerator(k, lead, forms, ins_t, loops) == literal
     # capped at degree c in x_v: exactly the literal terms within the cap
     v, c = data.draw(vertex), data.draw(st.integers(-1, 8))
-    assert numerator(k, n, scalar, mono, edges, ins_t, loops, (v, c)) == \
+    assert numerator(k, lead, forms, ins_t, loops, (v, c)) == \
         SparsePoly(n, {e: x for e, x in literal.items() if e[v] <= c})
 
 
-def _star_point_and_genus0_builds(N, k, dmax):
-    # every star, point and genus-0 job (both orders) of gw_table(N, k, dmax),
-    # or of cy_report(k, dmax) when N = k, as integrand builders
+def _capped_builds(N, k, dmax, families):
+    # every genus-0 job (both orders) and every graph job of the given
+    # families of gw_table(N, k, dmax), or of cy_report(k, dmax) when N = k,
+    # as integrand builders
     slots = ([(k - 2 - m, m - 1) for m in sorted({0, 1, *_loop_weights(k)})] if N == k else
              [(N - 2 - p, 0) for p in range(1, N - 1)] + ([(1, 1)] if N == 5 else []))
     builds = [functools.partial(_integrand, N, k, d, a, b, ins_key(ins), order)
@@ -105,13 +122,15 @@ def _star_point_and_genus0_builds(N, k, dmax):
     for d in range(1, dmax + 1):
         for ins in weighted_insertions(N, (N - k) * d):
             builds += [functools.partial(_graph_integrand, N, k, g, ins_key(ins))
-                       for g in graphs_of_degree(d) if isinstance(g, (StarGraph, PointGraph))]
+                       for g in graphs_of_degree(d) if isinstance(g, families)]
     return builds
 
 
 def test_capped_numerators_give_the_same_chain_values(monkeypatch):
-    builds = [b for job in [(5, 1, 3), (5, 2, 3), (4, 1, 4), (5, 5, 4)]
-              for b in _star_point_and_genus0_builds(*job)]
+    # N = k clusters all vanish, so only Fano clusters count towards the nonzero share
+    builds = [b for job in [(5, 1, 3), (5, 2, 3), (4, 1, 4)]
+              for b in _capped_builds(*job, (StarGraph, PointGraph, ClusterStarGraph))]
+    builds += _capped_builds(5, 5, 4, (StarGraph, PointGraph))
     capped = [build() for build in builds]
     monkeypatch.setattr(genus0, "numerator", uncapped_numerator)
     monkeypatch.setattr(elliptic, "numerator", uncapped_numerator)
@@ -147,7 +166,6 @@ def test_insertions_checked_alike_by_both_constants(ins, message):
 
 
 def test_root_in_var():
-    from vsc.poly import linear_form
     g = linear_form({1: 2, 2: -1}, 3)  # 2 x1 - x2, root in x1 is x2/2
     r = root_in_var(g, 1)
     assert r == SparsePoly.variable(2, 3).scale(F(1, 2))
