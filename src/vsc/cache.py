@@ -23,12 +23,12 @@ __all__ = ["ResidueCache", "default_cache_dir", "graph_key", "chain_key"]
 
 ENV_VAR = "VSC_CACHE"
 # Bump whenever an integrand changes the value it yields: a layout in
-# elliptic.py or genus0._integrand, or the shared builders genus0.numerator
-# and genus0.midpoint that assemble every one of them.  A change to an
-# integrand that keeps every chain value keeps the schema: numerators capped
-# at the first pole drop terms that no residue reads, and a cluster layout
-# written in u = w - z_core instead of w takes the same residue, so records
-# stay right.
+# elliptic.py or genus0._integrand, or genus0.integrand, the shared builder
+# that assembles every one of them (with genus0.numerator and
+# genus0.midpoint).  A change to an integrand that keeps every chain value
+# keeps the schema: numerators capped at the first pole drop terms that no
+# residue reads, and a cluster layout written in u = w - z_core instead of w
+# takes the same residue, so records stay right.
 SCHEMA = 1
 
 _DECIMAL = re.compile(r"-?[0-9]+")

@@ -127,12 +127,9 @@ def bcov_zinger_series(k: int, q_cap: int) -> TruncatedSeries:
     """
     X = _check_cy(k)
     chi = X.euler_characteristic()
-    out = ltilde(k, 0, q_cap).log().scale(Fraction(chi, 24))
     log_coeff = Fraction(-(k - 1), 48) if k % 2 else Fraction(-(k - 4), 48)
-    out = out + log_one_minus(k, q_cap).scale(log_coeff)
-    for p, weight in _loop_weights(k).items():
-        out = out - ltilde(k, p, q_cap).log().scale(weight)
-    return out
+    return ltilde(k, 0, q_cap).log().scale(Fraction(chi, 24)) + \
+        log_one_minus(k, q_cap).scale(log_coeff) + _loop_log_sum(k, q_cap)
 
 
 def _loop_weights(k: int) -> dict[int, Fraction]:
@@ -141,6 +138,14 @@ def _loop_weights(k: int) -> dict[int, Fraction]:
         return {p: Fraction((k - 1 - 2 * p) ** 2, 8) for p in range((k - 1) // 2)}
     return {p: Fraction((k - 2 * p) * (k - 2 * p - 2), 8)
             for p in range((k - 2) // 2)}
+
+
+def _loop_log_sum(k: int, q_cap: int) -> TruncatedSeries:
+    # the weighted -log Ltilde_p sum of the loop side
+    out = TruncatedSeries.zero(0, q_cap)
+    for p, weight in _loop_weights(k).items():
+        out = out - ltilde(k, p, q_cap).log().scale(weight)
+    return out
 
 
 @dataclass
@@ -202,10 +207,7 @@ def cy_report(k: int, q_cap: int, cache=None, workers: int = 1) -> CyReport:
     lhs = sums["loop"] + dilog_integral(k, q_cap).scale(Fraction(k * k - 1, 24 * k))
     if k % 2 == 0:
         lhs = lhs + log_one_minus(k, q_cap).scale(Fraction(-1, 16))
-    rhs = TruncatedSeries.zero(0, q_cap)
-    for p, weight in _loop_weights(k).items():
-        lp = l0 if p == 0 else (l1 if p == 1 else ltilde(k, p, q_cap))
-        rhs = rhs - lp.log().scale(weight)
+    rhs = _loop_log_sum(k, q_cap)
     return CyReport(
         k=k, q_cap=q_cap, l0=l0, l1=l1,
         stars=sums["star"], loops=sums["loop"], clusters=sums["cluster"],

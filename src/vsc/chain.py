@@ -1,11 +1,11 @@
 """Iterated-residue driver.
 
-Variables are eliminated one at a time.  A step is (variable, mode):
-
-  "zero"  residue at 0 only;
-  "both"  residues at 0 and at the root of the variable's designated
-          denominator factor, as that factor looks after all preceding
-          substitutions.
+Variables are eliminated one at a time.  A step is (variable, form): with
+form None the residue is taken at 0 only; otherwise form is the variable's
+designated denominator factor, a linear form in the original coordinates,
+and the residue is taken at 0 and at the root of that factor as it looks
+after all preceding substitutions.  Integrand builders hand every chain its
+steps together with the integrand (genus0.integrand).
 
 Pole order at each point is whatever the vanishing denominator factors say,
 so a designated factor that merged with others or drifted onto 0 is still
@@ -34,20 +34,15 @@ def root_in_var(form: SparsePoly, v: int) -> SparsePoly | None:
     return at_zero.scale(Fraction(-1) / cv.constant_value())
 
 
-def residue_chain(
-    f: RatExpr,
-    steps: list[tuple[int, str]],
-    designated: dict[int, SparsePoly],
-    stats: dict | None = None,
-) -> Fraction:
+def residue_chain(f: RatExpr, steps: list[tuple[int, SparsePoly | None]], *,
+                  stats: dict | None = None) -> Fraction:
     """Sum of iterated residues over all admissible pole branches.
 
-    steps: (variable, mode) in elimination order, mode "zero" or "both".
-    designated maps a variable to its designated denominator factor
-    in the original coordinates; factors are evolved through every
-    substitution as the chain descends.  Homogeneity is checked at entry (a
-    chain of s residues turns an integrand of degree -s into a constant) and
-    after each residue (each step raises the degree by exactly one).
+    steps: (variable, form) in elimination order.  The pending forms of the
+    steps still to come are evolved through every substitution as the chain
+    descends.  Homogeneity is checked at entry (a chain of s residues turns
+    an integrand of degree -s into a constant) and after each residue (each
+    step raises the degree by exactly one).
     """
     if f.is_zero():
         return Fraction(0)
@@ -56,15 +51,16 @@ def residue_chain(
         raise RuntimeError(f"integrand has homogeneous degree {deg}, "
                            f"not minus its {len(steps)} residue steps")
 
-    def walk(g: RatExpr, pos: int, pending: dict[int, SparsePoly], deg: int) -> Fraction:
+    def walk(g: RatExpr, pos: int, pending: list[SparsePoly | None], deg: int) -> Fraction:
+        # pending[i] is the evolved form of steps[pos + i]
         if pos == len(steps):
             if stats is not None:
                 stats["leaves"] = stats.get("leaves", 0) + 1
             return g.as_fraction()
-        v, mode = steps[pos]
+        v = steps[pos][0]
         roots = [SparsePoly.zero(g.nvars)]
-        if mode == "both" and v in pending:
-            root = root_in_var(pending[v], v)
+        if pending[0] is not None:
+            root = root_in_var(pending[0], v)
             if root is not None and not root.is_zero():
                 roots.append(root)
         total = Fraction(0)
@@ -76,8 +72,8 @@ def residue_chain(
                 continue
             if res.homogeneous_degree() != deg + 1:
                 raise RuntimeError("residue must raise the homogeneous degree by 1")
-            evolved = {u: p.substitute(v, root) for u, p in pending.items() if u != v}
+            evolved = [p if p is None else p.substitute(v, root) for p in pending[1:]]
             total += walk(res, pos + 1, evolved, deg + 1)
         return total
 
-    return walk(f, 0, dict(designated), deg)
+    return walk(f, 0, [form for _, form in steps], deg)

@@ -63,8 +63,7 @@ def _cache_from(args) -> ResidueCache | None:
 
 def _cmd_g0(args):
     ins = parse_insertions(args.ins)
-    value = genus0_constant(args.N, args.k, args.d, args.a, args.b, ins,
-                            order=args.order)
+    value = genus0_constant(args.N, args.k, args.d, args.a, args.b, ins)
     print(fraction_str(value))
 
 
@@ -173,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     g0.add_argument("--a", type=int, required=True)
     g0.add_argument("--b", type=int, required=True)
     g0.add_argument("--ins", default="", help="insertions as p:m,p:m")
-    g0.add_argument("--order", choices=("ascending", "descending"),
-                    default="ascending")
     g0.set_defaults(func=_cmd_g0)
 
     g1 = sub.add_parser("g1", help="genus-1 structure constant")

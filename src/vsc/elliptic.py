@@ -18,13 +18,14 @@ own variable layout together with a residue schedule:
            insertions they contribute;
   point    single variable, residue at 0.
 
-Each builder only describes its layout; genus0.numerator and
-genus0.midpoint assemble the integrand from it.  A star or cluster tail is
-a path that hangs on the core, a loop is a cycle, a cluster adds the edge
-(u + z_core, core) and a self-loop of weight f - 1 on the core, and a point
-is one vertex with a self-loop of weight d.  Every graph whose chain opens
-with a residue at 0 (all but loops) builds its numerator only below that
-first pole (genus0.first_pole_cap).
+Each builder only describes its layout and returns (integrand, steps); a
+step is (variable, form) as in chain.residue_chain, genus0.midpoint adds an
+interior vertex and returns its step, and genus0.integrand assembles the
+integrand.  A star or cluster tail is a path that hangs on the core, a loop
+is a cycle, a cluster adds the edge (u + z_core, core) and a self-loop of
+weight f - 1 on the core, and a point is one vertex with a self-loop of
+weight d.  Every graph whose chain opens with a residue at 0 alone (all but
+loops) builds its numerator only below that first pole.
 
 Insertions with p = 0 kill the constant and each p = 1 insertion multiplies
 it by d; both are applied analytically before the graph sum.
@@ -41,7 +42,7 @@ from math import comb
 
 from .cache import ResidueCache, chain_key, graph_key
 from .chain import residue_chain
-from .genus0 import Genus0Chain, chain_residue, first_pole_cap, memo, midpoint, numerator
+from .genus0 import Genus0Chain, chain_residue, integrand, memo, midpoint
 from .graphs import (
     ClusterStarGraph,
     Graph,
@@ -55,35 +56,32 @@ from .graphs import (
 from .hypersurface import Hypersurface, format_insertions, ins_key
 from .parallel import parallel_map
 from .poly import SparsePoly, linear_form
-from .ratfun import RatExpr
 
 __all__ = ["elliptic_constant", "graph_residue", "graph_values"]
 
 InsT = tuple[tuple[int, int], ...]
 
 
-def _hang_tails(N: int, n: int, core: int, sigma: tuple[int, ...], den,
-                designated, steps) -> list[tuple[int, int]]:
-    """Hang one path per part of sigma on the core; returns its edges.
+def _hang_tails(N: int, n: int, core: int, sigma: tuple[int, ...], den):
+    """Hang one path per part of sigma on the core; returns (edges, steps).
 
     The tail vertices follow the core in index order.  Each tail adds the
-    factor (first vertex - core) to the denominator, and a midpoint and a
-    "both" step for every vertex but its end, which takes z^N and a "zero"
-    step.
+    factor (first vertex - core) to the denominator, a midpoint and its step
+    for every vertex but its end, which takes z^N and a step at 0 only.
     """
     edges: list[tuple[int, int]] = []
+    steps: list[tuple[int, SparsePoly | None]] = []
     first = core + 1
     for part in sigma:
         path = [core, *range(first, first + part)]
         first += part
         edges += zip(path, path[1:])
         den.append((linear_form({path[1]: 1, core: -1}, n), 1))
-        for left, v, right in zip(path, path[1:], path[2:]):
-            midpoint(N, n, v, left, right, den, designated)
-            steps.append((v, "both"))
+        steps += [midpoint(N, n, v, left, right, den)
+                  for left, v, right in zip(path, path[1:], path[2:])]
         den.append((SparsePoly.variable(path[-1], n), N))
-        steps.append((path[-1], "zero"))
-    return edges
+        steps.append((path[-1], None))
+    return edges, steps
 
 
 def _star_terms(N: int, k: int, sigma: tuple[int, ...], ins_t: InsT):
@@ -93,22 +91,18 @@ def _star_terms(N: int, k: int, sigma: tuple[int, ...], ins_t: InsT):
     core = 0
     scalar = sym_factor(sigma) * Fraction(X.top_chern_coeff(), 24) / k ** (d - 1)
     den: list[tuple[SparsePoly, int]] = [(SparsePoly.variable(core, n), N + l - 1)]
-    designated: dict[int, SparsePoly] = {}
-    steps: list[tuple[int, str]] = [(core, "zero")]
-    edges = _hang_tails(N, n, core, sigma, den, designated, steps)
-    num = numerator(k, SparsePoly(n, {(N - 2,) + (0,) * d: scalar}), edges, ins_t, {},
-                    first_pole_cap(den, steps))
-    return RatExpr(num, den), steps, designated
+    edges, tail_steps = _hang_tails(N, n, core, sigma, den)
+    steps = [(core, None), *tail_steps]
+    lead = SparsePoly(n, {(N - 2,) + (0,) * d: scalar})
+    return integrand(k, lead, edges, ins_t, {}, den, steps), steps
 
 
 def _loop_terms(N: int, k: int, d: int, ins_t: InsT):
     den: list[tuple[SparsePoly, int]] = []
-    designated: dict[int, SparsePoly] = {}
-    for t in range(d):
-        midpoint(N, d, t, (t - 1) % d, (t + 1) % d, den, designated)
+    steps = [midpoint(N, d, t, (t - 1) % d, (t + 1) % d, den) for t in range(d)]
     edges = [(t, (t + 1) % d) for t in range(d)]
-    num = numerator(k, SparsePoly.constant(Fraction(1, 2 * d) / k**d, d), edges, ins_t, {})
-    return RatExpr(num, den), [(t, "both") for t in range(d)], designated
+    lead = SparsePoly.constant(Fraction(1, 2 * d) / k**d, d)
+    return integrand(k, lead, edges, ins_t, {}, den, steps), steps
 
 
 def _cluster_terms(N: int, k: int, f: int, sigma: tuple[int, ...], ins_t: InsT):
@@ -127,29 +121,27 @@ def _cluster_terms(N: int, k: int, f: int, sigma: tuple[int, ...], ins_t: InsT):
     w = linear_form({u: 1, core: 1}, n)
     den = [(SparsePoly.variable(u, n), 2), (w, N + 1),
            (SparsePoly.variable(core, n), l + N * f)]
-    designated: dict[int, SparsePoly] = {}
-    steps: list[tuple[int, str]] = [(u, "zero"), (core, "zero")]
+    tail_edges, tail_steps = _hang_tails(N, n, core, sigma, den)
+    steps = [(u, None), (core, None), *tail_steps]
     # the contracted loop is the edge (w, core) and a self-loop of weight f - 1
-    edges = [(w, core)] + _hang_tails(N, n, core, sigma, den, designated, steps)
+    edges = [(w, core), *tail_edges]
     tails = (0,) * sum(sigma)
     w_pow = SparsePoly(n, {(j, N - j) + tails: comb(N, j) for j in range(N + 1)})
     split = w_pow.scale(N + 1) + SparsePoly(n, {(0, N) + tails: N - 1})
     lead = split * SparsePoly(n, {(0, k * (f - 1)) + tails: scalar})
-    num = numerator(k, lead, edges, ins_t, {core: f - 1}, first_pole_cap(den, steps))
-    return RatExpr(num, den), steps, designated
+    return integrand(k, lead, edges, ins_t, {core: f - 1}, den, steps), steps
 
 
 def _point_terms(N: int, k: int, d: int, ins_t: InsT):
     # one vertex carrying a self-loop of weight d
     scalar = r_factor(N, k, d) * Fraction(k) ** (k * d) / 24
-    den, steps = [(SparsePoly.variable(0, 1), N * d + 1)], [(0, "zero")]
-    num = numerator(k, SparsePoly(1, {(k * d,): scalar}), [], ins_t, {0: d},
-                    first_pole_cap(den, steps))
-    return RatExpr(num, den), steps, {}
+    den, steps = [(SparsePoly.variable(0, 1), N * d + 1)], [(0, None)]
+    lead = SparsePoly(1, {(k * d,): scalar})
+    return integrand(k, lead, [], ins_t, {0: d}, den, steps), steps
 
 
 def _graph_integrand(N: int, k: int, graph: Graph, ins_t: InsT):
-    """(integrand, steps, designated) of the one chain of a catalog graph."""
+    """(integrand, steps) of the one chain of a catalog graph."""
     if isinstance(graph, StarGraph):
         return _star_terms(N, k, graph.sigma, ins_t)
     if isinstance(graph, LoopGraph):
@@ -198,7 +190,7 @@ def graph_values(N: int, k: int, jobs: list[tuple[Graph | Genus0Chain, InsT]],
     values: dict[tuple, Fraction | None] = dict.fromkeys(jobs)
     for job in values:
         if isinstance(job[0], Genus0Chain):
-            values[job] = memo.get((N, k, *job, "ascending"))
+            values[job] = memo.get((N, k, *job))
         if values[job] is None and cache is not None:
             values[job] = cache.get(_cache_key(N, k, *job))
     misses = sorted((job for job, value in values.items() if value is None),
@@ -210,7 +202,7 @@ def graph_values(N: int, k: int, jobs: list[tuple[Graph | Genus0Chain, InsT]],
             cache.put(_cache_key(N, k, *job), value)
     for job, value in values.items():
         if isinstance(job[0], Genus0Chain):
-            memo[(N, k, *job, "ascending")] = value
+            memo[(N, k, *job)] = value
     return [values[job] for job in jobs]
 
 

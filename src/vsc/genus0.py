@@ -16,12 +16,12 @@ A slot value of -1 moves that endpoint power into the denominator.
 
 Every residue-chain integrand of either genus is described by its layout:
 a leading polynomial (a scaled vertex monomial, for a cluster also its
-contraction factor), a list of edges and self-loop weights, which
-``numerator`` turns into the numerator, and one ``midpoint`` call per
-interior chain vertex for its denominator piece.  An edge ends at a
-variable or at a linear form, such as w = z_core + u of a cluster.  The
-genus-0 chain is the path 0, 1, ..., d; elliptic.py describes the genus-1
-graphs the same way.
+contraction factor), edges, self-loop weights, a denominator and residue
+steps (variable, form) as in chain.residue_chain; ``midpoint`` adds an
+interior chain vertex and returns its step.  An edge ends at a variable or
+at a linear form, such as w = z_core + u of a cluster.  ``integrand`` is the
+one assembler of every layout.  The genus-0 chain is the path 0, 1, ..., d;
+elliptic.py describes the genus-1 graphs the same way.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .hypersurface import Hypersurface, ins_count, ins_key
 from .poly import SparsePoly, linear_form
 from .ratfun import RatExpr
 
-__all__ = ["e_poly", "w_poly", "numerator", "first_pole_cap", "midpoint", "genus0_constant",
+__all__ = ["e_poly", "w_poly", "numerator", "integrand", "midpoint", "genus0_constant",
            "Genus0Chain", "chain_residue", "memo"]
 
 
@@ -50,7 +50,7 @@ class Genus0Chain:
     b: int
 
 
-# Bare chain values, keyed (N, k, Genus0Chain, p >= 2 insertions, order).
+# Bare chain values, keyed (N, k, Genus0Chain, p >= 2 insertions).
 # genus0_constant reads and fills it; elliptic.graph_values fills it with the
 # values it reads from the disk cache or computes on its pool.
 memo: dict[tuple, Fraction] = {}
@@ -92,10 +92,10 @@ def numerator(k: int, lead: SparsePoly, edges, ins_t,
     powers of sparse polynomials", Stud. Appl. Math. 53, 1974).
 
     With cap = (v, c) the accumulator keeps only the terms of degree <= c in
-    x_v (``SparsePoly.mul_capped``), those of lead included.  Capped at
-    ``first_pole_cap``, a numerator keeps the terms its chain's first residue
-    reads, so the chain value is the same; it stays homogeneous, and if it
-    is 0 the chain is 0.
+    x_v (``SparsePoly.mul_capped``), those of lead included.  Capped as
+    ``integrand`` caps it, a numerator keeps the terms its chain's first
+    residue reads, so the chain value is the same; it stays homogeneous, and
+    if it is 0 the chain is 0.
     """
     n = lead.nvars
     mul = SparsePoly.__mul__ if cap is None else (lambda a, b: a.mul_capped(b, *cap))
@@ -116,34 +116,38 @@ def numerator(k: int, lead: SparsePoly, edges, ins_t,
     return acc
 
 
-def first_pole_cap(den, steps) -> tuple[int, int] | None:
-    """(v, m - 1) when the chain opens with a residue at x_v = 0 of order m, else None.
+def integrand(k: int, lead: SparsePoly, edges, ins_t, loops: dict[int, int],
+              den: list[tuple[SparsePoly, int]], steps) -> RatExpr:
+    """The integrand of a layout, its numerator built only below the first pole.
 
-    That residue reads only the numerator's terms of degree below m in x_v.
+    A chain that opens with a residue at x_v = 0 alone, of order m, reads
+    only the numerator's terms of degree below m in x_v; one that opens with
+    a designated form (a loop) reads every term.
     """
-    v, mode = steps[0]
-    if mode != "zero":
-        return None
-    return v, sum(e for f, e in den if f.substitute(v, SparsePoly.zero(f.nvars)).is_zero()) - 1
+    v, form = steps[0]
+    cap = None
+    if form is None:
+        zero = SparsePoly.zero(lead.nvars)
+        cap = v, sum(e for f, e in den if f.substitute(v, zero).is_zero()) - 1
+    return RatExpr(numerator(k, lead, edges, ins_t, loops, cap), den)
 
 
 def midpoint(N: int, n: int, v: int, left: int, right: int,
-             den: list[tuple[SparsePoly, int]],
-             designated: dict[int, SparsePoly]) -> None:
+             den: list[tuple[SparsePoly, int]]) -> tuple[int, SparsePoly]:
     """Add the denominator piece of interior chain vertex v between left and right.
 
-    That is x_v^{N+1} and the designated factor 2 x_v - x_left - x_right,
+    That is x_v^{N+1} and the midpoint factor 2 x_v - x_left - x_right,
     which is 2 x_v - 2 x_left when left = right (the loop of degree 2).
+    Returns the step of v, with that factor as its designated form.
     """
     g = linear_form({v: 2, left: -2} if left == right else {v: 2, left: -1, right: -1}, n)
     den.append((SparsePoly.variable(v, n), N + 1))
     den.append((g, 1))
-    designated[v] = g
+    return v, g
 
 
 def genus0_constant(N: int, k: int, d: int, a: int, b: int,
-                    ins: dict[int, int] | None = None,
-                    order: str = "ascending") -> Fraction:
+                    ins: dict[int, int] | None = None) -> Fraction:
     """w(O_{h^a} O_{h^b} | prod_p (O_{h^p})^{m_p})_{0,d}, exactly.
 
     Insertions with p = 0 kill the constant, each p = 1 insertion multiplies
@@ -156,8 +160,6 @@ def genus0_constant(N: int, k: int, d: int, a: int, b: int,
         raise ValueError("need d >= 0")
     if a < -1 or b < -1:
         raise ValueError("slot powers must be >= -1")
-    if order not in ("ascending", "descending"):
-        raise ValueError("order must be ascending or descending")
     mult, rest = X.split_insertions(d, ins)
     if d == 0:
         if ins_count(ins) != 1:
@@ -166,31 +168,24 @@ def genus0_constant(N: int, k: int, d: int, a: int, b: int,
         return Fraction(k) if a + b + c == N - 2 else Fraction(0)
     if not mult or not X.genus0_selection(d, a, b, rest):
         return Fraction(0)
-    key = (N, k, Genus0Chain(d, a, b), ins_key(rest), order)
+    key = (N, k, Genus0Chain(d, a, b), ins_key(rest))
     if key not in memo:
         memo[key] = chain_residue(*key)
     return mult * memo[key]
 
 
-def chain_residue(N: int, k: int, chain: Genus0Chain, ins_t,
-                  order: str = "ascending") -> Fraction:
+def chain_residue(N: int, k: int, chain: Genus0Chain, ins_t) -> Fraction:
     """Residue of one genus-0 chain with p >= 2 insertions, computed afresh."""
-    return residue_chain(*_integrand(N, k, chain.degree, chain.a, chain.b, ins_t, order))
+    return residue_chain(*_integrand(N, k, chain.degree, chain.a, chain.b, ins_t))
 
 
-def _integrand(N, k, d, a, b, ins_t, order="ascending"):
-    """(integrand, steps, designated) of the chain, eliminated in the given order."""
+def _integrand(N, k, d, a, b, ins_t):
+    """(integrand, steps) of the chain, eliminated in ascending order."""
     n = d + 1
     den = [(SparsePoly.variable(0, n), N - min(a, 0)),
            (SparsePoly.variable(d, n), N - min(b, 0))]
-    designated: dict[int, SparsePoly] = {}
-    for i in range(1, d):
-        midpoint(N, n, i, i - 1, i + 1, den, designated)
-    steps = [(0, "zero")] + [(i, "both") for i in range(1, d)] + [(d, "zero")]
-    if order == "descending":
-        steps.reverse()
+    steps = [(0, None), *(midpoint(N, n, i, i - 1, i + 1, den) for i in range(1, d)), (d, None)]
     mono = (max(a, 0),) + (0,) * (d - 1) + (max(b, 0),)
     edges = [(j - 1, j) for j in range(1, d + 1)]
-    num = numerator(k, SparsePoly(n, {mono: Fraction(1, k ** (d - 1))}), edges, ins_t, {},
-                    first_pole_cap(den, steps))
-    return RatExpr(num, den), steps, designated
+    lead = SparsePoly(n, {mono: Fraction(1, k ** (d - 1))})
+    return integrand(k, lead, edges, ins_t, {}, den, steps), steps

@@ -70,19 +70,16 @@ def _constant_sets(N: int, k: int, q_cap: int, a: int, b: int) -> list[tuple[int
             for ins in weighted_insertions(N, N - 3 - a - b + (N - k) * d)]
 
 
-def mirror_corrections(N: int, k: int, q_cap: int,
-                       ps=None) -> dict[int, TruncatedSeries]:
-    """Corrections C_p with t^p = x^p + C_p(x), one series per requested p.
+def mirror_corrections(N: int, k: int, q_cap: int) -> dict[int, TruncatedSeries]:
+    """Corrections C_p with t^p = x^p + C_p(x) for p = 1..N-2.
 
     C_p sums (1/k) w(O_{h^{N-2-p}} O_{h^0} | ins)_{0,d} over degrees and over
-    insertions of weight (N-k) d + p - 1, each divided by its m_a!.  By
-    default p runs over 1..N-2, the coordinates the inversion needs.
+    insertions of weight (N-k) d + p - 1, each divided by its m_a!.  These
+    are the coordinates the inversion needs.
     """
     Hypersurface(N, k)
-    if ps is None:
-        ps = range(1, N - 1)
     return {p: genus0_pair_series(N, k, q_cap, N - 2 - p, 0).scale(Fraction(1, k))
-            for p in ps}
+            for p in range(1, N - 1)}
 
 
 def invert_corrections(corrections: dict[int, TruncatedSeries]) -> dict[int, TruncatedSeries]:

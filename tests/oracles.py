@@ -226,17 +226,17 @@ def reduced_graph_residue(N: int, k: int, graph, ins_t) -> Fraction:
     The engine hands its integrands to residue_chain unreduced; this is the
     same chain with the trial divisions done first.
     """
-    f, steps, designated = _graph_integrand(N, k, graph, ins_t)
-    return residue_chain(f.reduce(), steps, designated)
+    f, steps = _graph_integrand(N, k, graph, ins_t)
+    return residue_chain(f.reduce(), steps)
 
 
 def cluster_by_halves(N: int, k: int, graph, ins_t) -> Fraction:
     """A cluster graph's value as the sum of two half chains.
 
     The contraction terms -(N-1)/N w^-N and -(N+1)/N z_core^-N are built as
-    separate integrands over the shared numerator, schedule and designated
-    factors, in the contracted variable w itself; each takes its residue at
-    w = z_core here and then walks the rest of the chain.  The engine puts
+    separate integrands over the shared numerator and schedule, in the
+    contracted variable w itself; each takes its residue at w = z_core here
+    and then walks the rest of the chain.  The engine puts
     both terms over one denominator, writes the layout in u = w - z_core and
     walks one chain.
     """
@@ -248,9 +248,9 @@ def cluster_by_halves(N: int, k: int, graph, ins_t) -> Fraction:
         l) / k ** (d - f - l)
     den = [(linear_form({w: 1, core: -1}, n), 2), (SparsePoly.variable(w, n), 1),
            (SparsePoly.variable(core, n), l + N * (f - 1))]
-    designated: dict = {}
-    steps = [(core, "zero")]
-    edges = [(w, core)] + _hang_tails(N, n, core, sigma, den, designated, steps)
+    tail_edges, tail_steps = _hang_tails(N, n, core, sigma, den)
+    steps = [(core, None), *tail_steps]
+    edges = [(w, core), *tail_edges]
     mono = (0, k * (f - 1)) + (0,) * sum(sigma)
     num = numerator(k, SparsePoly(n, {mono: scalar}), edges, ins_t, {core: f - 1})
     half_w = RatExpr(num.scale(Fraction(-(N - 1), N)),
@@ -258,7 +258,7 @@ def cluster_by_halves(N: int, k: int, graph, ins_t) -> Fraction:
     half_core = RatExpr(num.scale(Fraction(-(N + 1), N)),
                         den + [(SparsePoly.variable(core, n), N)])
     at_core = SparsePoly.variable(core, n)
-    return sum((residue_chain(half.residue_at(w, at_core), steps, designated)
+    return sum((residue_chain(half.residue_at(w, at_core), steps)
                 for half in (half_w, half_core)), Fraction(0))
 
 

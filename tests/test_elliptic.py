@@ -102,7 +102,7 @@ def test_unreduced_integrands_match_reduced_per_graph(N, k, ins_by_degree):
         for graph in graphs_of_degree(d):
             assert graph_residue(N, k, graph, ins_t) == \
                 reduced_graph_residue(N, k, graph, ins_t), graph
-            f, _, _ = _graph_integrand(N, k, graph, ins_t)
+            f, _ = _graph_integrand(N, k, graph, ins_t)
             cancellable += f.reduce().den != f.den
     assert cancellable  # some integrand does carry a cancellable factor
 
@@ -114,7 +114,7 @@ def test_graph_integrands_have_degree_minus_step_count(N, k):
     for d in range(1, 5):
         for ins in weighted_insertions(N, (N - k) * d):
             for graph in graphs_of_degree(d):
-                f, steps, _ = _graph_integrand(N, k, graph, ins_key(ins))
+                f, steps = _graph_integrand(N, k, graph, ins_key(ins))
                 if not f.is_zero():
                     assert f.homogeneous_degree() == -len(steps), graph
                     checked += 1
@@ -150,12 +150,12 @@ from vsc.poly import SparsePoly
 from vsc.ratfun import RatExpr
 if not sys.flags.optimize:
     sys.exit(2)
-for f, steps, designated in (_graph_integrand(4, 1, StarGraph((1,)), ((2, 3),)),
-                             _graph_integrand(4, 1, ClusterStarGraph(1, (1,)), ((2, 6),)),
-                             _integrand(4, 1, 2, 2, 2, ((2, 3),))):
+for f, steps in (_graph_integrand(4, 1, StarGraph((1,)), ((2, 3),)),
+                 _graph_integrand(4, 1, ClusterStarGraph(1, (1,)), ((2, 6),)),
+                 _integrand(4, 1, 2, 2, 2, ((2, 3),))):
     f = RatExpr(f.num * SparsePoly.variable(0, f.nvars), f.den)
     try:
-        residue_chain(f, steps, designated)
+        residue_chain(f, steps)
     except RuntimeError:
         continue
     sys.exit(1)

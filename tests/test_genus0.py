@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsc import elliptic, genus0
+from vsc import genus0
 from vsc.calabi_yau import _loop_weights
 from vsc.chain import residue_chain, root_in_var
 from vsc.elliptic import _graph_integrand, elliptic_constant
@@ -111,14 +111,14 @@ def test_numerator_matches_literal_product(data):
 
 
 def _capped_builds(N, k, dmax, families):
-    # every genus-0 job (both orders) and every graph job of the given
+    # every genus-0 job (both slot orders) and every graph job of the given
     # families of gw_table(N, k, dmax), or of cy_report(k, dmax) when N = k,
     # as integrand builders
     slots = ([(k - 2 - m, m - 1) for m in sorted({0, 1, *_loop_weights(k)})] if N == k else
              [(N - 2 - p, 0) for p in range(1, N - 1)] + ([(1, 1)] if N == 5 else []))
-    builds = [functools.partial(_integrand, N, k, d, a, b, ins_key(ins), order)
+    builds = [functools.partial(_integrand, N, k, d, *ends, ins_key(ins))
               for a, b in slots for d, ins in _constant_sets(N, k, dmax, a, b)
-              for order in ("ascending", "descending")]
+              for ends in ((a, b), (b, a))]
     for d in range(1, dmax + 1):
         for ins in weighted_insertions(N, (N - k) * d):
             builds += [functools.partial(_graph_integrand, N, k, g, ins_key(ins))
@@ -133,22 +133,14 @@ def test_capped_numerators_give_the_same_chain_values(monkeypatch):
     builds += _capped_builds(5, 5, 4, (StarGraph, PointGraph))
     capped = [build() for build in builds]
     monkeypatch.setattr(genus0, "numerator", uncapped_numerator)
-    monkeypatch.setattr(elliptic, "numerator", uncapped_numerator)
     full = [build() for build in builds]
     smaller = nonzero = 0
-    for (f, steps, designated), (g, _, _) in zip(capped, full):
-        value = residue_chain(f, steps, designated)
-        assert value == residue_chain(g, steps, designated)
+    for (f, steps), (g, _) in zip(capped, full):
+        value = residue_chain(f, steps)
+        assert value == residue_chain(g, steps)
         smaller += len(f.num.terms) < len(g.num.terms)
         nonzero += value != 0
     assert smaller > len(builds) // 4 and nonzero > len(builds) // 2
-
-
-def test_bad_order_rejected_before_any_shortcut():
-    # degree 0, a failed selection rule and a full chain all check order first
-    for args in [(5, 5, 0, 1, 0, {2: 1}), (5, 5, 1, 1, 0), (4, 1, 2, 1, 0, {2: 6})]:
-        with pytest.raises(ValueError, match="order"):
-            genus0_constant(*args, order="bogus")
 
 
 @pytest.mark.parametrize("ins, message", [
@@ -227,18 +219,19 @@ def test_low_insertion_shortcut_matches_literal_integrand():
 
 
 def test_descending_order_agrees():
-    for args in [(4, 1, 2, 1, 0, {2: 6}), (5, 3, 2, 3, 1, {2: 2})]:
-        asc = genus0_constant(*args, order="ascending")
-        desc = genus0_constant(*args, order="descending")
-        assert asc == desc and asc != 0
+    # relabelling z_i -> z_{d-i} turns the chain of slots (b, a) into the
+    # descending chain of (a, b), so this checks the elimination order too
+    for N, k, d, a, b, ins in [(4, 1, 2, 1, 0, {2: 6}), (5, 3, 2, 3, 1, {2: 2})]:
+        value = genus0_constant(N, k, d, a, b, ins)
+        assert value == genus0_constant(N, k, d, b, a, ins) and value != 0
 
 
 def test_branch_count_matches_two_to_the_d_minus_one():
-    from vsc.genus0 import _integrand
-    f, steps, des = _integrand(4, 1, 3, 1, 0, ((2, 9),))
-    assert steps == [(0, "zero"), (1, "both"), (2, "both"), (3, "zero")]
+    f, steps = _integrand(4, 1, 3, 1, 0, ((2, 9),))
+    assert steps == [(0, None), (1, linear_form({1: 2, 0: -1, 2: -1}, 4)),
+                     (2, linear_form({2: 2, 1: -1, 3: -1}, 4)), (3, None)]
     stats = {}
-    val = residue_chain(f, steps, des, stats=stats)
+    val = residue_chain(f, steps, stats=stats)
     assert val == 622320
     assert stats.get("leaves", 0) + stats.get("pruned", 0) >= 4
     assert stats.get("leaves", 0) == 4  # all four branches contribute here
