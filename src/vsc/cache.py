@@ -27,8 +27,9 @@ ENV_VAR = "VSC_CACHE"
 # that assembles every one of them (with genus0.numerator and
 # genus0.midpoint).  A change to an integrand that keeps every chain value
 # keeps the schema: numerators capped at the first pole drop terms that no
-# residue reads, and a cluster layout written in u = w - z_core instead of w
-# takes the same residue, so records stay right.
+# residue reads, a cluster layout written in u = w - z_core instead of w
+# takes the same residue, and residues left unreduced yield the same values,
+# so records stay right.
 SCHEMA = 1
 
 _DECIMAL = re.compile(r"-?[0-9]+")

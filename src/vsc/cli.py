@@ -17,8 +17,8 @@ from .pipeline import gw_table, invert_corrections, mirror_corrections
 from .series import TruncatedSeries
 
 
-def _series_str(series: TruncatedSeries, block_offset: int = 2) -> str:
-    """Render a series as signed `c q^d x2^e ...` terms."""
+def _series_str(series: TruncatedSeries) -> str:
+    """Render a series as signed `c q^d x2^e ...` terms; block a is x_{a+2}."""
     parts = []
     for (d, exps), c in series.items():
         factors = []
@@ -28,7 +28,7 @@ def _series_str(series: TruncatedSeries, block_offset: int = 2) -> str:
             factors.append("q" if d == 1 else f"q^{d}")
         for a, e in enumerate(exps):
             if e:
-                name = f"x{a + block_offset}"
+                name = f"x{a + 2}"
                 factors.append(name if e == 1 else f"{name}^{e}")
         sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
         parts.append(sign + " ".join(factors))

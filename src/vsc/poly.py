@@ -331,14 +331,13 @@ class SparsePoly:
 
     # -- division by a linear factor ------------------------------------------
 
-    def divide_exact_linear(self, form: SparsePoly, most: int = 1) -> SparsePoly | None:
-        """Exact quotient self / form^j for a polynomial of total degree 1, else None.
+    def divide_exact_linear(self, form: SparsePoly) -> SparsePoly | None:
+        """Exact quotient self / form for a polynomial of total degree 1, else None.
 
-        A monomial form x_v is divided out j = min(most, lowest power of x_v
-        in self) times in one pass; any other form once (j = 1).  Divides
-        the primitive parts.  By Gauss's lemma their exact quotient, if
-        there is one, has integer coefficients, so the first coefficient that
-        the pivot coefficient does not divide proves there is none.
+        Synthetic division in the form's highest variable, on the primitive
+        parts.  By Gauss's lemma their exact quotient, if there is one, has
+        integer coefficients, so the first coefficient that the pivot
+        coefficient does not divide proves there is none.
         """
         if form.total_degree() != 1:
             raise ValueError("divisor must have total degree 1")
@@ -351,16 +350,6 @@ class SparsePoly:
         pivot = max(form.terms)
         cv = form.terms[pivot]
         shift = (pivot ^ (1 << top)).bit_length() - 1
-        if len(form.terms) == 1:
-            # monomial divisor x_v: shift every exponent of x_v down by j
-            j = most
-            for e in self.terms:
-                j = min(j, (e >> shift) & MAX_DEGREE)
-                if not j:
-                    return None
-            return SparsePoly._raw(n, {e - j * pivot: c for e, c in self.terms.items()},
-                                   self.content / form.content ** j)
-        # general case: synthetic division in the pivot variable
         tail = [(e, c) for e, c in form.terms.items() if e != pivot]
         by_deg: dict[int, dict[int, int]] = {}
         for e, c in self.terms.items():

@@ -30,12 +30,12 @@ The pole is taken at its true order.  If P = eps^i P' (P_0 .. P_{i-1} zero),
 the formula reads off the eps^{m-1-i} coefficient of P' / prod (c + a eps)^e,
 the same residue at order m - i, so ``residue_at`` drops those zeros first,
 truncates S at the true order and gives each c the order e + m - i - 1; a
-numerator vanishing to order m or more gives 0.  Integrands therefore enter
-a residue chain as built, never reduced.  ``reduce`` runs on every residue's
-output and cancels the linear factors that still divide its numerator: a
-power of some c = f(root) whose order the numerator lowers further, or a
-factor free of v, a monomial x_u^e divided out in one pass.  That keeps the
-next step of the chain small.
+numerator vanishing to order m or more gives 0.  So a common factor of
+numerator and denominator never changes a residue, and nothing in a residue
+chain divides: integrands enter it as built and every residue leaves it as
+computed.  A chain eliminates every variable, so at its leaf each
+denominator factor is a constant, which ``RatExpr`` folds into the
+numerator.
 """
 
 from __future__ import annotations
@@ -169,17 +169,15 @@ class RatExpr:
                     R = R + P[m - 1 - j] * s
         if R.is_zero():
             return RatExpr.zero(n)
-        return RatExpr(R, den).reduce()
+        return RatExpr(R, den)
 
     # -- normalization and extraction -----------------------------------------
 
     def reduce(self) -> RatExpr:
         """Cancel denominator factors of total degree 1 that divide the numerator.
 
-        Called on ``residue_at``'s output, where each f(root) carries the
-        order e + m - 1 for the true pole order m and the numerator may still
-        vanish on it or on a factor free of the pole variable, and by
-        ``as_fraction``.  A monomial factor goes in one pass.
+        Only ``as_fraction`` calls it, for a hand-built expression whose
+        denominator has not cancelled; the residue chain never divides.
         """
         num = self.num
         if num.is_zero():
@@ -188,10 +186,10 @@ class RatExpr:
         for f, e in self.den:
             if f.total_degree() == 1:
                 while e:
-                    q = num.divide_exact_linear(f, e)
+                    q = num.divide_exact_linear(f)
                     if q is None:
                         break
-                    e -= num.total_degree() - q.total_degree()
+                    e -= 1
                     num = q
             if e:
                 den.append((f, e))

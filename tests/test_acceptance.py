@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from vsc import genus0
 from vsc.calabi_yau import (alternating_two_point_sum, cy_report,
                             family_series, ltilde_zero_closed)
 from vsc.chain import residue_chain
@@ -19,6 +20,8 @@ from vsc.genus0 import genus0_constant
 from vsc.graphs import ClusterStarGraph, graphs_of_degree
 from vsc.hypersurface import Hypersurface
 from vsc.pipeline import gw_table, invert_corrections, mirror_corrections
+from vsc.poly import SparsePoly
+from vsc.ratfun import RatExpr
 from vsc.series import TruncatedSeries, substitute
 
 from oracles import p2_genus1, p3_invariant
@@ -205,6 +208,38 @@ def test_order_independence():
         value = genus0_constant(N, k, d, a, b, ins)
         ok = ok and value == genus0_constant(N, k, d, b, a, ins) and value != 0
     _report("genus-0 chains agree under a slot swap", ok)
+
+
+def test_residue_chains_never_divide(monkeypatch):
+    # residues are taken at their true pole order, so no chain needs to
+    # cancel a common factor: with both division routines disabled and the
+    # genus-0 memo empty, every chain still runs and every value still holds
+    def refuse(*args, **kwargs):
+        raise AssertionError("the residue chain divided")
+
+    calls = []
+    residue_at = RatExpr.residue_at
+
+    def counted(self, v, root):
+        calls.append(v)
+        return residue_at(self, v, root)
+
+    monkeypatch.setattr(RatExpr, "reduce", refuse)
+    monkeypatch.setattr(SparsePoly, "divide_exact_linear", refuse)
+    monkeypatch.setattr(RatExpr, "residue_at", counted)
+    saved = dict(genus0.memo)
+    genus0.memo.clear()
+    try:
+        rows = {(r.d, r.ins.get(2, 0), r.ins.get(3, 0)): (r.n0, r.n1, r.combo, r.w1)
+                for r in gw_table(5, 1, 2)}
+        table_calls = len(calls)
+        identities = cy_report(4, 3).identities()
+    finally:
+        genus0.memo.clear()
+        genus0.memo.update(saved)
+    assert table_calls > 0 and len(calls) > table_calls, "no chain ran"
+    ok = rows == THREEFOLD_D2[1] and bool(identities) and all(identities.values())
+    _report("gw_table(5,1,2) and cy_report(4,3) hold with no division", ok)
 
 
 def test_graph_counts():

@@ -64,11 +64,10 @@ def test_divide_exact_linear():
     assert x.divide_exact_linear(f) is None
     q = (4 * x * y * z).divide_exact_linear(2 * x)
     assert q == 2 * y * z
-    # a monomial divides out up to `most` times in one pass, as far as it goes
+    # a monomial form goes through the synthetic division, one power at a time
     p = x * x * x * y + 5 * x * x * z
-    assert p.divide_exact_linear(2 * x, 5) == (x * y + 5 * z).scale(F(1, 4))
-    assert p.divide_exact_linear(x, 1) == x * x * y + 5 * x * z
-    assert p.divide_exact_linear(y, 5) is None
+    assert p.divide_exact_linear(2 * x) == (x * x * y + 5 * x * z).scale(F(1, 2))
+    assert p.divide_exact_linear(y) is None
 
 
 def test_linear_form_builder():
@@ -352,6 +351,8 @@ def test_residue_sum_over_all_poles_of_rational_function_vanishes():
     vals = [f.residue_at(0, root) for root in (y, 2 * y, -y)]
     s = SparsePoly.zero(2)
     for r in vals:
+        # residue_at leaves y-factors uncancelled; reduce() cancels them
+        r = r.reduce()
         assert not r.den
         s = s + r.num
     assert s == SparsePoly.constant(1, 2)
