@@ -9,11 +9,13 @@ steps together with the integrand (genus0.integrand).
 
 Pole order at each point is whatever the vanishing denominator factors say,
 so a designated factor that merged with others or drifted onto 0 is still
-counted exactly once.
+counted exactly once.  One chain walks every integrand of a layout, one per
+insertion set, and computes each branch's denominator side once for all.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .poly import SparsePoly
@@ -34,46 +36,54 @@ def root_in_var(form: SparsePoly, v: int) -> SparsePoly | None:
     return at_zero.scale(Fraction(-1) / cv.constant_value())
 
 
-def residue_chain(f: RatExpr, steps: list[tuple[int, SparsePoly | None]], *,
-                  stats: dict | None = None) -> Fraction:
-    """Sum of iterated residues over all admissible pole branches.
+def residue_chain(fs, steps: list[tuple[int, SparsePoly | None]], *,
+                  stats: dict | None = None) -> list[Fraction]:
+    """Sum of iterated residues over all admissible pole branches, per integrand of fs.
 
-    steps: (variable, form) in elimination order.  The pending forms of the
-    steps still to come are evolved through every substitution as the chain
-    descends.  Homogeneity is checked at entry (a chain of s residues turns
-    an integrand of degree -s into a constant) and after each residue (each
-    step raises the degree by exactly one).
+    fs: integrands over one denominator; steps: (variable, form) in
+    elimination order.  The pending forms of the steps still to come are
+    evolved through every substitution.  A branch's roots, evolved forms and
+    residue_at side memo come from the denominator alone: the first integrand
+    there computes them, and keeps them if a later one follows.  Homogeneity
+    is checked at entry (a chain of s residues turns an integrand of degree -s
+    into a constant) and after each residue.
     """
-    if f.is_zero():
-        return Fraction(0)
-    deg = f.homogeneous_degree()
-    if deg != -len(steps):
-        raise RuntimeError(f"integrand has homogeneous degree {deg}, "
-                           f"not minus its {len(steps)} residue steps")
+    stats = {} if stats is None else stats
+    branches: dict[tuple, list] = {}
 
-    def walk(g: RatExpr, pos: int, pending: list[SparsePoly | None], deg: int) -> Fraction:
-        # pending[i] is the evolved form of steps[pos + i]
-        if pos == len(steps):
-            if stats is not None:
-                stats["leaves"] = stats.get("leaves", 0) + 1
+    def walk(g: RatExpr, path: tuple, pending: list[SparsePoly | None], deg: int) -> Fraction:
+        # pending[i] is the evolved form of steps[len(path) + i]
+        if not path and g.homogeneous_degree() != deg:
+            raise RuntimeError(f"integrand has homogeneous degree {g.homogeneous_degree()}, "
+                               f"not minus its {len(steps)} residue steps")
+        if len(path) == len(steps):
+            stats["leaves"] = stats.get("leaves", 0) + 1
             return g.as_fraction()
-        v = steps[pos][0]
-        roots = [SparsePoly.zero(g.nvars)]
-        if pending[0] is not None:
-            root = root_in_var(pending[0], v)
-            if root is not None and not root.is_zero():
-                roots.append(root)
+        v = steps[len(path)][0]
+        entry = branches.get(path)
+        if entry is None:
+            roots = [SparsePoly.zero(g.nvars)]
+            if pending[0] is not None:
+                root = root_in_var(pending[0], v)
+                if root is not None and not root.is_zero():
+                    roots.append(root)
+            entry = [(root, {}, [p if p is None else p.substitute(v, root) for p in pending[1:]])
+                     for root in roots]
+            if later is not None:
+                branches[path] = entry
         total = Fraction(0)
-        for root in roots:
-            res = g.residue_at(v, root)
+        for i, (root, side, evolved) in enumerate(entry):
+            res = g.residue_at(v, root, side)
             if res.is_zero():
-                if stats is not None:
-                    stats["pruned"] = stats.get("pruned", 0) + 1
+                stats["pruned"] = stats.get("pruned", 0) + 1
                 continue
             if res.homogeneous_degree() != deg + 1:
                 raise RuntimeError("residue must raise the homogeneous degree by 1")
-            evolved = [p if p is None else p.substitute(v, root) for p in pending[1:]]
-            total += walk(res, pos + 1, evolved, deg + 1)
+            # the root index and res.den's exponents (set by the true order) fix res.den
+            total += walk(res, (*path, (i, tuple(e for _, e in res.den))), evolved, deg + 1)
         return total
 
-    return walk(f, 0, [form for _, form in steps], deg)
+    values, forms = [], [form for _, form in steps]
+    for f, later in itertools.pairwise(itertools.chain(fs, [None])):  # later is built first
+        values.append(Fraction(0) if f.is_zero() else walk(f, (), forms, -len(steps)))
+    return values

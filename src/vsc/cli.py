@@ -63,7 +63,8 @@ def _cache_from(args) -> ResidueCache | None:
 
 def _cmd_g0(args):
     ins = parse_insertions(args.ins)
-    value = genus0_constant(args.N, args.k, args.d, args.a, args.b, ins)
+    value = genus0_constant(args.N, args.k, args.d, args.a, args.b, ins,
+                            cache=_cache_from(args), workers=args.threads)
     print(fraction_str(value))
 
 
@@ -75,7 +76,7 @@ def _cmd_g1(args):
 
 
 def _cmd_mirror(args):
-    C = mirror_corrections(args.N, args.k, args.qcap)
+    C = mirror_corrections(args.N, args.k, args.qcap, _cache_from(args), args.threads)
     if args.inverse:
         C = invert_corrections(C)
         left, right = "x", "t"
@@ -172,6 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     g0.add_argument("--a", type=int, required=True)
     g0.add_argument("--b", type=int, required=True)
     g0.add_argument("--ins", default="", help="insertions as p:m,p:m")
+    _add_cache_args(g0)
     g0.set_defaults(func=_cmd_g0)
 
     g1 = sub.add_parser("g1", help="genus-1 structure constant")
@@ -189,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     mirror.add_argument("--inverse", action="store_true",
                         help="print x(t) instead of t(x)")
     mirror.add_argument("--format", choices=("text", "json"), default="text")
+    _add_cache_args(mirror)
     mirror.set_defaults(func=_cmd_mirror)
 
     gw = sub.add_parser("gw", help="Gromov-Witten table for a Fano target")

@@ -32,7 +32,8 @@ it by d; both are applied analytically before the graph sum.
 
 graph_values is the one planner for residue chains of both genera: tables
 and reports hand it their genus-1 graphs together with the genus-0 chains
-their mirror maps read, and it meets the disk cache and the pool for all.
+their mirror maps read, and it meets the disk cache and the pool for all,
+one pool item per graph or chain with all of its insertion sets.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def _hang_tails(N: int, n: int, core: int, sigma: tuple[int, ...], den):
     return edges, steps
 
 
-def _star_terms(N: int, k: int, sigma: tuple[int, ...], ins_t: InsT):
+def _star_terms(N: int, k: int, sigma: tuple[int, ...], ins_ts: list[InsT]):
     X = Hypersurface(N, k)
     d, l = sum(sigma), len(sigma)
     n = 1 + d
@@ -94,18 +95,18 @@ def _star_terms(N: int, k: int, sigma: tuple[int, ...], ins_t: InsT):
     edges, tail_steps = _hang_tails(N, n, core, sigma, den)
     steps = [(core, None), *tail_steps]
     lead = SparsePoly(n, {(N - 2,) + (0,) * d: scalar})
-    return integrand(k, lead, edges, ins_t, {}, den, steps), steps
+    return integrand(k, lead, edges, ins_ts, {}, den, steps), steps
 
 
-def _loop_terms(N: int, k: int, d: int, ins_t: InsT):
+def _loop_terms(N: int, k: int, d: int, ins_ts: list[InsT]):
     den: list[tuple[SparsePoly, int]] = []
     steps = [midpoint(N, d, t, (t - 1) % d, (t + 1) % d, den) for t in range(d)]
     edges = [(t, (t + 1) % d) for t in range(d)]
     lead = SparsePoly.constant(Fraction(1, 2 * d) / k**d, d)
-    return integrand(k, lead, edges, ins_t, {}, den, steps), steps
+    return integrand(k, lead, edges, ins_ts, {}, den, steps), steps
 
 
-def _cluster_terms(N: int, k: int, f: int, sigma: tuple[int, ...], ins_t: InsT):
+def _cluster_terms(N: int, k: int, f: int, sigma: tuple[int, ...], ins_ts: list[InsT]):
     d, l = f + sum(sigma), len(sigma)
     n = 2 + sum(sigma)
     u, core = 0, 1
@@ -129,42 +130,42 @@ def _cluster_terms(N: int, k: int, f: int, sigma: tuple[int, ...], ins_t: InsT):
     w_pow = SparsePoly(n, {(j, N - j) + tails: comb(N, j) for j in range(N + 1)})
     split = w_pow.scale(N + 1) + SparsePoly(n, {(0, N) + tails: N - 1})
     lead = split * SparsePoly(n, {(0, k * (f - 1)) + tails: scalar})
-    return integrand(k, lead, edges, ins_t, {core: f - 1}, den, steps), steps
+    return integrand(k, lead, edges, ins_ts, {core: f - 1}, den, steps), steps
 
 
-def _point_terms(N: int, k: int, d: int, ins_t: InsT):
+def _point_terms(N: int, k: int, d: int, ins_ts: list[InsT]):
     # one vertex carrying a self-loop of weight d
     scalar = r_factor(N, k, d) * Fraction(k) ** (k * d) / 24
     den, steps = [(SparsePoly.variable(0, 1), N * d + 1)], [(0, None)]
     lead = SparsePoly(1, {(k * d,): scalar})
-    return integrand(k, lead, [], ins_t, {0: d}, den, steps), steps
+    return integrand(k, lead, [], ins_ts, {0: d}, den, steps), steps
 
 
-def _graph_integrand(N: int, k: int, graph: Graph, ins_t: InsT):
-    """(integrand, steps) of the one chain of a catalog graph."""
+def _graph_integrand(N: int, k: int, graph: Graph, ins_ts: list[InsT]):
+    """(integrands, steps) of the one chain of a catalog graph, one integrand per set."""
     if isinstance(graph, StarGraph):
-        return _star_terms(N, k, graph.sigma, ins_t)
+        return _star_terms(N, k, graph.sigma, ins_ts)
     if isinstance(graph, LoopGraph):
-        return _loop_terms(N, k, graph.d, ins_t)
+        return _loop_terms(N, k, graph.d, ins_ts)
     if isinstance(graph, ClusterStarGraph):
-        return _cluster_terms(N, k, graph.f, graph.sigma, ins_t)
+        return _cluster_terms(N, k, graph.f, graph.sigma, ins_ts)
     if isinstance(graph, PointGraph):
-        return _point_terms(N, k, graph.d, ins_t)
+        return _point_terms(N, k, graph.d, ins_ts)
     raise TypeError(f"unknown graph {graph!r}")
 
 
-def graph_residue(N: int, k: int, graph: Graph, ins_t: InsT) -> Fraction:
-    """Residue value of one catalog graph with p >= 2 insertions, 0 off the selection rule."""
-    if not Hypersurface(N, k).genus1_selection(graph.degree, dict(ins_t)):
-        return Fraction(0)
-    return residue_chain(*_graph_integrand(N, k, graph, ins_t))
+def graph_residue(N: int, k: int, graph: Graph, ins_ts: list[InsT]) -> list[Fraction]:
+    """Residues of one catalog graph, one per set of p >= 2 insertions, 0 off the selection rule."""
+    live = [t for t in ins_ts if Hypersurface(N, k).genus1_selection(graph.degree, dict(t))]
+    values = dict(zip(live, residue_chain(*_graph_integrand(N, k, graph, live))))
+    return [values.get(ins_t, Fraction(0)) for ins_t in ins_ts]
 
 
 def _evaluate(args):
-    N, k, part, ins_t = args
+    N, k, part, ins_ts = args
     if isinstance(part, Genus0Chain):
-        return chain_residue(N, k, part, ins_t)
-    return graph_residue(N, k, part, ins_t)
+        return chain_residue(N, k, part, ins_ts)
+    return graph_residue(N, k, part, ins_ts)
 
 
 def _cache_key(N: int, k: int, part, ins_t: InsT) -> dict:
@@ -181,25 +182,31 @@ def graph_values(N: int, k: int, jobs: list[tuple[Graph | Genus0Chain, InsT]],
 
     The one planner for every residue chain of a table or report: duplicate
     jobs are evaluated once; genus-0 values come from genus0.memo, then any
-    value from the disk cache; the misses run in one parallel_map call,
-    highest degree first (ties in job order), so the longest chains start
-    first and a whole table shares one pool.  Computed values are written
-    to the cache, and genus-0 values also to the memo that genus0_constant
-    reads.  Values are returned in job order.
+    value from the disk cache; the misses run in one parallel_map call, one
+    item per part (graph or chain) with all its missing sets, sorted so
+    their numerators share prefixes, highest degree first (ties in job
+    order), so the longest chains start first and a whole table shares one
+    pool.  Computed values are written to the cache, one record per job,
+    and genus-0 values also to the memo that genus0_constant reads.  Values
+    are returned in job order.
     """
     values: dict[tuple, Fraction | None] = dict.fromkeys(jobs)
+    misses: dict[Graph | Genus0Chain, list[InsT]] = {}
     for job in values:
         if isinstance(job[0], Genus0Chain):
             values[job] = memo.get((N, k, *job))
         if values[job] is None and cache is not None:
             values[job] = cache.get(_cache_key(N, k, *job))
-    misses = sorted((job for job, value in values.items() if value is None),
-                    key=lambda job: -job[0].degree)
-    computed = parallel_map(_evaluate, [(N, k, *job) for job in misses], workers)
-    for job, value in zip(misses, computed):
-        values[job] = value
-        if cache is not None:
-            cache.put(_cache_key(N, k, *job), value)
+        if values[job] is None:
+            misses.setdefault(job[0], []).append(job[1])
+    items = sorted(((N, k, part, sorted(sets)) for part, sets in misses.items()),
+                   key=lambda item: -item[2].degree)
+    computed = parallel_map(_evaluate, items, workers) if items else []
+    for (_, _, part, sets), values_of_part in zip(items, computed):
+        for ins_t, value in zip(sets, values_of_part):
+            values[(part, ins_t)] = value
+            if cache is not None:
+                cache.put(_cache_key(N, k, part, ins_t), value)
     for job, value in values.items():
         if isinstance(job[0], Genus0Chain):
             memo[(N, k, *job)] = value

@@ -20,8 +20,9 @@ contraction factor), edges, self-loop weights, a denominator and residue
 steps (variable, form) as in chain.residue_chain; ``midpoint`` adds an
 interior chain vertex and returns its step.  An edge ends at a variable or
 at a linear form, such as w = z_core + u of a cluster.  ``integrand`` is the
-one assembler of every layout.  The genus-0 chain is the path 0, 1, ..., d;
-elliptic.py describes the genus-1 graphs the same way.
+one assembler of every layout, one integrand per insertion set, and the
+genus-0 chain is the path 0, 1, ..., d; elliptic.py describes the genus-1
+graphs the same way.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ class Genus0Chain:
     b: int
 
 
-# Bare chain values, keyed (N, k, Genus0Chain, p >= 2 insertions).
-# genus0_constant reads and fills it; elliptic.graph_values fills it with the
-# values it reads from the disk cache or computes on its pool.
+# Bare chain values, keyed (N, k, Genus0Chain, p >= 2 insertions).  The
+# planner, elliptic.graph_values, reads it first and fills it with the values
+# it reads from the disk cache or computes on its pool.
 memo: dict[tuple, Fraction] = {}
 
 
@@ -79,9 +80,9 @@ def w_poly(p: int, x: SparsePoly, y: SparsePoly) -> SparsePoly:
     return out
 
 
-def numerator(k: int, lead: SparsePoly, edges, ins_t,
-              loops: dict[int, int], cap: tuple[int, int] | None = None) -> SparsePoly:
-    """lead * prod_{(x,y) in edges} e_k(x, y) * prod_p s_p^{m_p}.
+def numerator(k: int, lead: SparsePoly, edges, ins_ts,
+              loops: dict[int, int], cap: tuple[int, int] | None = None):
+    """Yield lead * prod_{(x,y) in edges} e_k(x, y) * prod_p s_p^{m_p} per set of ins_ts.
 
     An edge endpoint is a variable index or a linear form (a SparsePoly);
     indices become variables on entry, so e_k and w_p see forms only.
@@ -89,7 +90,9 @@ def numerator(k: int, lead: SparsePoly, edges, ins_t,
     + sum_v loops[v] w_p(x_v, x_v).  One accumulator takes one small factor
     at a time, edges first, so no two large polynomials are ever multiplied:
     for dense powers this beats squaring (Fateman, "On the computation of
-    powers of sparse polynomials", Stud. Appl. Math. 53, 1974).
+    powers of sparse polynomials", Stud. Appl. Math. 53, 1974).  Each set
+    starts from the longest product prefix it shares with the set before it
+    (sorted sets share most); only the prefixes the next set reuses are kept.
 
     With cap = (v, c) the accumulator keeps only the terms of degree <= c in
     x_v (``SparsePoly.mul_capped``), those of lead included.  Capped as
@@ -104,21 +107,26 @@ def numerator(k: int, lead: SparsePoly, edges, ins_t,
     acc = mul(SparsePoly.constant(1, n), lead)
     for x, y in edges:
         acc = mul(acc, e_poly(k, x, y))
-    for p, m in ins_t:
-        s = SparsePoly.zero(n)
-        for x, y in edges:
-            s = s + w_poly(p, x, y)
-        for v, c in loops.items():
-            x = SparsePoly.variable(v, n)
-            s = s + w_poly(p, x, x).scale(c)
-        for _ in range(m):
-            acc = mul(acc, s)
-    return acc
+    ends = [(SparsePoly.variable(v, n), c) for v, c in loops.items()]
+    s = {p: sum([w_poly(p, x, y) for x, y in edges] + [w_poly(p, x, x).scale(c) for x, c in ends],
+                SparsePoly.zero(n)) for p in {p for ins_t in ins_ts for p, _ in ins_t}}
+    seqs = [[p for p, m in ins_t for _ in range(m)] for ins_t in ins_ts]
+    prefix = [acc]  # prefix[j]: the product of the current set's first j factors
+    for seq, after in zip(seqs, [*seqs[1:], []]):
+        keep = next((j for j, (p, q) in enumerate(zip(seq, after)) if p != q),
+                    min(len(seq), len(after)))
+        acc = prefix[-1]
+        for j in range(len(prefix), len(seq) + 1):
+            acc = mul(acc, s[seq[j - 1]])
+            if j <= keep:
+                prefix.append(acc)
+        del prefix[keep + 1:]
+        yield acc
 
 
-def integrand(k: int, lead: SparsePoly, edges, ins_t, loops: dict[int, int],
-              den: list[tuple[SparsePoly, int]], steps) -> RatExpr:
-    """The integrand of a layout, its numerator built only below the first pole.
+def integrand(k: int, lead: SparsePoly, edges, ins_ts, loops: dict[int, int],
+              den: list[tuple[SparsePoly, int]], steps):
+    """The integrands of a layout, one per insertion set, built only below the first pole.
 
     A chain that opens with a residue at x_v = 0 alone, of order m, reads
     only the numerator's terms of degree below m in x_v; one that opens with
@@ -129,7 +137,7 @@ def integrand(k: int, lead: SparsePoly, edges, ins_t, loops: dict[int, int],
     if form is None:
         zero = SparsePoly.zero(lead.nvars)
         cap = v, sum(e for f, e in den if f.substitute(v, zero).is_zero()) - 1
-    return RatExpr(numerator(k, lead, edges, ins_t, loops, cap), den)
+    return (RatExpr(num, den) for num in numerator(k, lead, edges, ins_ts, loops, cap))
 
 
 def midpoint(N: int, n: int, v: int, left: int, right: int,
@@ -147,13 +155,13 @@ def midpoint(N: int, n: int, v: int, left: int, right: int,
 
 
 def genus0_constant(N: int, k: int, d: int, a: int, b: int,
-                    ins: dict[int, int] | None = None) -> Fraction:
+                    ins: dict[int, int] | None = None, cache=None, workers: int = 1) -> Fraction:
     """w(O_{h^a} O_{h^b} | prod_p (O_{h^p})^{m_p})_{0,d}, exactly.
 
     Insertions with p = 0 kill the constant, each p = 1 insertion multiplies
     the remaining one by d; both are applied analytically.  Degree 0 is the
     classical pairing k * delta_{a+b+c, N-2} for a single insertion O_{h^c}.
-    Returns 0 whenever the selection rule fails.
+    Returns 0 whenever the selection rule fails.  Chains go through elliptic.graph_values.
     """
     X = Hypersurface(N, k)
     if d < 0:
@@ -168,19 +176,17 @@ def genus0_constant(N: int, k: int, d: int, a: int, b: int,
         return Fraction(k) if a + b + c == N - 2 else Fraction(0)
     if not mult or not X.genus0_selection(d, a, b, rest):
         return Fraction(0)
-    key = (N, k, Genus0Chain(d, a, b), ins_key(rest))
-    if key not in memo:
-        memo[key] = chain_residue(*key)
-    return mult * memo[key]
+    from .elliptic import graph_values  # the planner's module imports this one
+    return mult * graph_values(N, k, [(Genus0Chain(d, a, b), ins_key(rest))], cache, workers)[0]
 
 
-def chain_residue(N: int, k: int, chain: Genus0Chain, ins_t) -> Fraction:
-    """Residue of one genus-0 chain with p >= 2 insertions, computed afresh."""
-    return residue_chain(*_integrand(N, k, chain.degree, chain.a, chain.b, ins_t))
+def chain_residue(N: int, k: int, chain: Genus0Chain, ins_ts) -> list[Fraction]:
+    """Residues of one genus-0 chain, one per set of p >= 2 insertions, computed afresh."""
+    return residue_chain(*_integrand(N, k, chain.degree, chain.a, chain.b, ins_ts))
 
 
-def _integrand(N, k, d, a, b, ins_t):
-    """(integrand, steps) of the chain, eliminated in ascending order."""
+def _integrand(N, k, d, a, b, ins_ts):
+    """(integrands, steps) of the chain, eliminated in ascending order."""
     n = d + 1
     den = [(SparsePoly.variable(0, n), N - min(a, 0)),
            (SparsePoly.variable(d, n), N - min(b, 0))]
@@ -188,4 +194,4 @@ def _integrand(N, k, d, a, b, ins_t):
     mono = (max(a, 0),) + (0,) * (d - 1) + (max(b, 0),)
     edges = [(j - 1, j) for j in range(1, d + 1)]
     lead = SparsePoly(n, {mono: Fraction(1, k ** (d - 1))})
-    return integrand(k, lead, edges, ins_t, {}, den, steps), steps
+    return integrand(k, lead, edges, ins_ts, {}, den, steps), steps

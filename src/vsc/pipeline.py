@@ -70,14 +70,17 @@ def _constant_sets(N: int, k: int, q_cap: int, a: int, b: int) -> list[tuple[int
             for ins in weighted_insertions(N, N - 3 - a - b + (N - k) * d)]
 
 
-def mirror_corrections(N: int, k: int, q_cap: int) -> dict[int, TruncatedSeries]:
+def mirror_corrections(N: int, k: int, q_cap: int, cache=None,
+                       workers: int = 1) -> dict[int, TruncatedSeries]:
     """Corrections C_p with t^p = x^p + C_p(x) for p = 1..N-2.
 
     C_p sums (1/k) w(O_{h^{N-2-p}} O_{h^0} | ins)_{0,d} over degrees and over
     insertions of weight (N-k) d + p - 1, each divided by its m_a!.  These
-    are the coordinates the inversion needs.
+    are the coordinates the inversion needs; their chains are one planner call.
     """
     Hypersurface(N, k)
+    graph_values(N, k, [(Genus0Chain(d, a, 0), ins_key(ins)) for a in range(N - 2)
+                        for d, ins in _constant_sets(N, k, q_cap, a, 0)], cache, workers)
     return {p: genus0_pair_series(N, k, q_cap, N - 2 - p, 0).scale(Fraction(1, k))
             for p in range(1, N - 1)}
 
@@ -98,8 +101,8 @@ def invert_corrections(corrections: dict[int, TruncatedSeries]) -> dict[int, Tru
     def step(cur):
         blocks = [TruncatedSeries.block(a, nblocks, q_cap) + cur[a + 2]
                   for a in range(nblocks)]
-        return {p: -substitute(corrections[p], cur[1], blocks)
-                for p in corrections}
+        return {p: -s for p, s in zip(corrections, substitute(
+            list(corrections.values()), cur[1], blocks))}
 
     for _ in range(q_cap):
         D = step(D)
@@ -178,11 +181,11 @@ def gw_table(N: int, k: int, d_max: int, cache=None, workers: int = 1) -> list[G
     D = invert_corrections(mirror_corrections(N, k, q_cap))
     blocks = [TruncatedSeries.block(a, nblocks, q_cap) + D[a + 2]
               for a in range(nblocks)]
-    f1a = substitute(f1b, D[1], blocks) - \
-        D[1].scale(Fraction(X.genus1_linear_coeff(), 24))
+    pair = [genus0_pair_series(N, k, q_cap, 1, 1)] if N == 5 else []
+    f1a, *a11 = substitute([f1b, *pair], D[1], blocks)
+    f1a = f1a - D[1].scale(Fraction(X.genus1_linear_coeff(), 24))
     if N == 5:
-        a11 = substitute(genus0_pair_series(N, k, q_cap, 1, 1), D[1], blocks) + \
-            D[1].scale(k)
+        a11 = a11[0] + D[1].scale(k)
     rows = []
     for d in range(1, d_max + 1):
         for ins in weighted_insertions(N, (N - k) * d):

@@ -115,30 +115,35 @@ class RatExpr:
 
     # -- residue --------------------------------------------------------------
 
-    def residue_at(self, v: int, root: SparsePoly) -> RatExpr:
+    def residue_at(self, v: int, root: SparsePoly, side: dict | None = None) -> RatExpr:
         """Residue in v at v = root; zero when no denominator factor vanishes.
 
+        side keeps what is read from the denominator alone, for the next one over it.
         Raises NonLinearPoleError for a factor of degree above 1 in v.
         """
         n = self.nvars
         if root.degree_in(v) > 0:
             raise ValueError("root involves the pole variable")
-        m = 0
-        den: list[tuple[SparsePoly, int]] = []
-        lines: list[tuple[SparsePoly, SparsePoly, int]] = []
-        for f, e in self.den:
-            deg = f.degree_in(v)
-            if deg <= 0:
-                den.append((f, e))
-                continue
-            if deg > 1:
-                raise NonLinearPoleError(f"denominator factor {f!r} is nonlinear in x{v}")
-            c, a = f.shift_eps(v, root, 2)
-            if c.is_zero():
-                m += e
-                den.append((a, e))
-            else:
-                lines.append((c, a, e))
+        side = {} if side is None else side
+        if 0 not in side:
+            m = 0
+            den: list[tuple[SparsePoly, int]] = []
+            lines: list[tuple[SparsePoly, SparsePoly, int]] = []
+            for f, e in self.den:
+                deg = f.degree_in(v)
+                if deg <= 0:
+                    den.append((f, e))
+                    continue
+                if deg > 1:
+                    raise NonLinearPoleError(f"denominator factor {f!r} is nonlinear in x{v}")
+                c, a = f.shift_eps(v, root, 2)
+                if c.is_zero():
+                    m += e
+                    den.append((a, e))
+                else:
+                    lines.append((c, a, e))
+            side[0] = m, den, lines
+        m, den, lines = side[0]
         if m == 0:
             return RatExpr.zero(n)
         # the true order: drop the numerator's leading zero orders in eps
@@ -147,19 +152,21 @@ class RatExpr:
         if i0 == m:
             return RatExpr.zero(n)
         P, m = P[i0:], m - i0
-        S: list[SparsePoly] | None = None
-        for c, a, e in lines:
-            c_pow = [SparsePoly.constant(1, n), c][:m]
-            while len(c_pow) < m:
-                c_pow.append(c_pow[-1] * c)
-            a = a.constant_value() if a.is_constant() else a
-            a_pow = _ONE
-            series = []
-            for j in range(m):
-                series.append(c_pow[m - 1 - j] * a_pow * ((-1) ** j * comb(e + j - 1, j)))
-                a_pow = a_pow * a
-            S = series if S is None else _eps_mul(S, series, m)
-            den.append((c, e + m - 1))
+        if m not in side:
+            S: list[SparsePoly] | None = None
+            for c, a, e in lines:
+                c_pow = [SparsePoly.constant(1, n), c][:m]
+                while len(c_pow) < m:
+                    c_pow.append(c_pow[-1] * c)
+                a = a.constant_value() if a.is_constant() else a
+                a_pow = _ONE
+                series = []
+                for j in range(m):
+                    series.append(c_pow[m - 1 - j] * a_pow * ((-1) ** j * comb(e + j - 1, j)))
+                    a_pow = a_pow * a
+                S = series if S is None else _eps_mul(S, series, m)
+            side[m] = S, den + [(c, e + m - 1) for c, _, e in lines]
+        S, top = side[m]
         if S is None:
             R = P[m - 1]
         else:
@@ -169,7 +176,7 @@ class RatExpr:
                     R = R + P[m - 1 - j] * s
         if R.is_zero():
             return RatExpr.zero(n)
-        return RatExpr(R, den)
+        return RatExpr(R, top)
 
     # -- normalization and extraction -----------------------------------------
 

@@ -147,18 +147,19 @@ class TruncatedSeries:
         return cls(data["nblocks"], data["q_cap"], terms)
 
 
-def substitute(series: TruncatedSeries, q_shift: TruncatedSeries,
-               blocks: list[TruncatedSeries]) -> TruncatedSeries:
-    """Evaluate series(x) on x^1 = t^1 + A(t), x^a = blocks[a](t).
+def substitute(series: list[TruncatedSeries], q_shift: TruncatedSeries,
+               blocks: list[TruncatedSeries]) -> list[TruncatedSeries]:
+    """Evaluate each series(x) on x^1 = t^1 + A(t), x^a = blocks[a](t).
 
     q_shift is A, so q_x^d becomes q_t^d exp(A)^d; blocks[a] is the full
     substituted series for the a-th block variable, linear term included.
+    exp(A), its powers and the block powers are built once for all series.
     """
-    if len(blocks) != series.nblocks:
+    nblocks, q_cap = q_shift.nblocks, q_shift.q_cap
+    if len(blocks) != nblocks:
         raise ValueError("need one block series per block variable")
-    nblocks, q_cap = series.nblocks, series.q_cap
-    for s in (q_shift, *blocks):
-        series._check(s)
+    for s in (*series, *blocks):
+        q_shift._check(s)
     exp_shift = q_shift.exp()
     exp_pows = [TruncatedSeries.constant(1, nblocks, q_cap)]
     block_pows: list[dict[int, TruncatedSeries]] = [
@@ -170,13 +171,14 @@ def substitute(series: TruncatedSeries, q_shift: TruncatedSeries,
             cache[e] = bpow(a, e - 1) * blocks[a]
         return cache[e]
 
-    out = TruncatedSeries.zero(nblocks, q_cap)
-    for (d, exps), c in series.items():
-        while len(exp_pows) <= d:
-            exp_pows.append(exp_pows[-1] * exp_shift)
-        term = TruncatedSeries.q_power(d, nblocks, q_cap) * exp_pows[d]
-        for a, e in enumerate(exps):
-            if e:
-                term = term * bpow(a, e)
-        out = out + term.scale(c)
+    out = [TruncatedSeries.zero(nblocks, q_cap) for _ in series]
+    for i, f in enumerate(series):
+        for (d, exps), c in f.items():
+            while len(exp_pows) <= d:
+                exp_pows.append(exp_pows[-1] * exp_shift)
+            term = TruncatedSeries.q_power(d, nblocks, q_cap) * exp_pows[d]
+            for a, e in enumerate(exps):
+                if e:
+                    term = term * bpow(a, e)
+            out[i] = out[i] + term.scale(c)
     return out

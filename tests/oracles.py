@@ -193,15 +193,21 @@ def genus0_direct(N: int, k: int, d: int, a: int, b: int,
     Hypersurface(N, k)
     if d < 1:
         raise ValueError("need d >= 1")
-    return residue_chain(*_integrand(N, k, d, a, b, ins_key(ins)))
+    return residue_chain(*_integrand(N, k, d, a, b, [ins_key(ins)]))[0]
 
 
-def uncapped_numerator(k, lead, edges, ins_t, loops, cap=None):
+def uncapped_numerator(k, lead, edges, ins_ts, loops, cap=None):
     """genus0.numerator with every term kept, whatever the cap.
 
-    The engine drops the terms that its chain's first residue does not read;
-    this reference builds the whole product, edges first.
+    The engine drops the terms that its chain's first residue does not read
+    and shares product prefixes between sets; this reference builds the
+    whole product of each set alone, edges first.
     """
+    for ins_t in ins_ts:
+        yield _uncapped_product(k, lead, edges, ins_t, loops)
+
+
+def _uncapped_product(k, lead, edges, ins_t, loops):
     n = lead.nvars
     edges = [tuple(SparsePoly.variable(x, n) if isinstance(x, int) else x for x in edge)
              for edge in edges]
@@ -226,8 +232,8 @@ def reduced_graph_residue(N: int, k: int, graph, ins_t) -> Fraction:
     The engine hands its integrands to residue_chain unreduced; this is the
     same chain with the trial divisions done first.
     """
-    f, steps = _graph_integrand(N, k, graph, ins_t)
-    return residue_chain(f.reduce(), steps)
+    (f,), steps = _graph_integrand(N, k, graph, [ins_t])
+    return residue_chain([f.reduce()], steps)[0]
 
 
 def cluster_by_halves(N: int, k: int, graph, ins_t) -> Fraction:
@@ -252,13 +258,13 @@ def cluster_by_halves(N: int, k: int, graph, ins_t) -> Fraction:
     steps = [(core, None), *tail_steps]
     edges = [(w, core), *tail_edges]
     mono = (0, k * (f - 1)) + (0,) * sum(sigma)
-    num = numerator(k, SparsePoly(n, {mono: scalar}), edges, ins_t, {core: f - 1})
+    (num,) = numerator(k, SparsePoly(n, {mono: scalar}), edges, [ins_t], {core: f - 1})
     half_w = RatExpr(num.scale(Fraction(-(N - 1), N)),
                      den + [(SparsePoly.variable(w, n), N)])
     half_core = RatExpr(num.scale(Fraction(-(N + 1), N)),
                         den + [(SparsePoly.variable(core, n), N)])
     at_core = SparsePoly.variable(core, n)
-    return sum((residue_chain(half.residue_at(w, at_core), steps)
+    return sum((residue_chain([half.residue_at(w, at_core)], steps)[0]
                 for half in (half_w, half_core)), Fraction(0))
 
 

@@ -20,7 +20,7 @@ def test_g1_example(capsys):
 
 def test_g0_with_negative_slot(capsys):
     code, out, _ = run(capsys, "g0", "--N", "5", "--k", "5", "--d", "1",
-                       "--a", "3", "--b", "-1", "--ins", "1:1")
+                       "--a", "3", "--b", "-1", "--ins", "1:1", "--no-cache")
     assert code == 0
     assert out.strip() == "600"
 
@@ -53,14 +53,14 @@ def test_gw_json(capsys):
 
 def test_mirror_text(capsys):
     code, out, _ = run(capsys, "mirror", "--N", "4", "--k", "3",
-                       "--qcap", "1")
+                       "--qcap", "1", "--no-cache")
     assert code == 0
     assert "t^1 - x^1 = 21 q x2" in out
 
 
 def test_mirror_inverse_json(capsys):
     code, out, _ = run(capsys, "mirror", "--N", "4", "--k", "1",
-                       "--qcap", "1", "--inverse", "--format", "json")
+                       "--qcap", "1", "--inverse", "--format", "json", "--no-cache")
     assert code == 0
     data = json.loads(out)
     assert data["1"]["terms"] == [[1, [3], "-1/2"]]

@@ -103,11 +103,11 @@ def test_numerator_matches_literal_product(data):
     literal = _literal_numerator(k, n, scalar, mono, edges, ins_t, loops)
     lead = SparsePoly(n, {mono: scalar})
     forms = [tuple(x if isinstance(x, int) else linear_form(x, n) for x in e) for e in edges]
-    assert numerator(k, lead, forms, ins_t, loops) == literal
+    assert list(numerator(k, lead, forms, [ins_t], loops)) == [literal]
     # capped at degree c in x_v: exactly the literal terms within the cap
     v, c = data.draw(vertex), data.draw(st.integers(-1, 8))
-    assert numerator(k, lead, forms, ins_t, loops, (v, c)) == \
-        SparsePoly(n, {e: x for e, x in literal.items() if e[v] <= c})
+    assert list(numerator(k, lead, forms, [ins_t], loops, (v, c))) == \
+        [SparsePoly(n, {e: x for e, x in literal.items() if e[v] <= c})]
 
 
 def _capped_builds(N, k, dmax, families):
@@ -116,12 +116,12 @@ def _capped_builds(N, k, dmax, families):
     # as integrand builders
     slots = ([(k - 2 - m, m - 1) for m in sorted({0, 1, *_loop_weights(k)})] if N == k else
              [(N - 2 - p, 0) for p in range(1, N - 1)] + ([(1, 1)] if N == 5 else []))
-    builds = [functools.partial(_integrand, N, k, d, *ends, ins_key(ins))
+    builds = [functools.partial(_integrand, N, k, d, *ends, [ins_key(ins)])
               for a, b in slots for d, ins in _constant_sets(N, k, dmax, a, b)
               for ends in ((a, b), (b, a))]
     for d in range(1, dmax + 1):
         for ins in weighted_insertions(N, (N - k) * d):
-            builds += [functools.partial(_graph_integrand, N, k, g, ins_key(ins))
+            builds += [functools.partial(_graph_integrand, N, k, g, [ins_key(ins)])
                        for g in graphs_of_degree(d) if isinstance(g, families)]
     return builds
 
@@ -135,9 +135,9 @@ def test_capped_numerators_give_the_same_chain_values(monkeypatch):
     monkeypatch.setattr(genus0, "numerator", uncapped_numerator)
     full = [build() for build in builds]
     smaller = nonzero = 0
-    for (f, steps), (g, _) in zip(capped, full):
-        value = residue_chain(f, steps)
-        assert value == residue_chain(g, steps)
+    for ((f,), steps), ((g,), _) in zip(capped, full):
+        (value,) = residue_chain([f], steps)
+        assert [value] == residue_chain([g], steps)
         smaller += len(f.num.terms) < len(g.num.terms)
         nonzero += value != 0
     assert smaller > len(builds) // 4 and nonzero > len(builds) // 2
@@ -227,11 +227,10 @@ def test_descending_order_agrees():
 
 
 def test_branch_count_matches_two_to_the_d_minus_one():
-    f, steps = _integrand(4, 1, 3, 1, 0, ((2, 9),))
+    fs, steps = _integrand(4, 1, 3, 1, 0, [((2, 9),)])
     assert steps == [(0, None), (1, linear_form({1: 2, 0: -1, 2: -1}, 4)),
                      (2, linear_form({2: 2, 1: -1, 3: -1}, 4)), (3, None)]
     stats = {}
-    val = residue_chain(f, steps, stats=stats)
-    assert val == 622320
+    assert residue_chain(fs, steps, stats=stats) == [622320]
     assert stats.get("leaves", 0) + stats.get("pruned", 0) >= 4
     assert stats.get("leaves", 0) == 4  # all four branches contribute here

@@ -68,7 +68,7 @@ def _roundtrip(N, k, q_cap):
               for a in range(nblocks)]
     for p in C:
         # x(t(x)) = x, i.e. D evaluated on the forward map cancels C
-        assert substitute(D[p], C[1], blocks) + C[p] == \
+        assert substitute([D[p]], C[1], blocks)[0] + C[p] == \
             TruncatedSeries.zero(nblocks, q_cap)
 
 

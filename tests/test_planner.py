@@ -10,10 +10,15 @@ import vsc.elliptic
 import vsc.genus0
 import vsc.parallel
 from vsc.cache import ResidueCache, chain_key
+from vsc.calabi_yau import cy_report
+from vsc.chain import residue_chain
 from vsc.cli import main
-from vsc.elliptic import graph_residue, graph_values
-from vsc.genus0 import Genus0Chain, chain_residue, genus0_constant
+from vsc.elliptic import _graph_integrand, graph_residue, graph_values
+from vsc.genus0 import Genus0Chain, _integrand, chain_residue, genus0_constant
 from vsc.graphs import LoopGraph, PointGraph, StarGraph
+from vsc.pipeline import gw_table
+
+from oracles import uncapped_numerator
 
 G1_ARGV = ("g1", "--N", "4", "--k", "1", "--d", "1", "--ins", "2:3")
 
@@ -26,6 +31,23 @@ def empty_memo():
     yield vsc.genus0.memo
     vsc.genus0.memo.clear()
     vsc.genus0.memo.update(saved)
+
+
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """Names of the integrand builders called during the test, one per chain built."""
+    built = []
+
+    def counting(fn):
+        def wrapper(*args):
+            built.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(vsc.genus0, "_integrand", counting(vsc.genus0._integrand))
+    monkeypatch.setattr(vsc.elliptic, "_graph_integrand",
+                        counting(vsc.elliptic._graph_integrand))
+    return built
 
 
 @pytest.fixture
@@ -93,33 +115,39 @@ def test_pool_never_exceeds_job_count(capsys, pool_sizes):
     ("gw", "--N", "4", "--k", "1", "--dmax", "3"),
     ("bcov", "--k", "4", "--dmax", "3"),
 ], ids=["gw", "bcov"])
-def test_warm_run_evaluates_no_chain(tmp_path, capsys, monkeypatch, empty_memo,
+def test_warm_run_evaluates_no_chain(tmp_path, capsys, empty_memo, chain_builds,
                                      pool_sizes, argv):
     argv = (*argv, "--cache-dir", str(tmp_path))
     cold = run(capsys, *argv, "--threads", "1")
-    built = []
-
-    def counting(fn):
-        def wrapper(*args):
-            built.append(fn.__name__)
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(vsc.genus0, "_integrand", counting(vsc.genus0._integrand))
-    monkeypatch.setattr(vsc.elliptic, "_graph_integrand",
-                        counting(vsc.elliptic._graph_integrand))
+    cold_builds = len(chain_builds)
     # the cold run filled the memo too; only the disk cache may serve the warm run
     empty_memo.clear()
     assert run(capsys, *argv, "--threads", "2") == cold
     assert cold[0] == 0
-    assert built == []
+    assert len(chain_builds) == cold_builds
     assert pool_sizes == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("mirror", "--N", "5", "--k", "1", "--qcap", "3"),
+    ("g0", "--N", "4", "--k", "1", "--d", "2", "--a", "1", "--b", "0", "--ins", "2:6"),
+], ids=["mirror", "g0"])
+def test_g0_and_mirror_go_through_the_cache(tmp_path, capsys, empty_memo, chain_builds, argv):
+    plain = run(capsys, *argv, "--no-cache")
+    empty_memo.clear()
+    cold = run(capsys, *argv, "--cache-dir", str(tmp_path), "--threads", "1")
+    cold_builds = len(chain_builds)
+    assert cold_builds > 0 and len(list(tmp_path.glob("*.json"))) > 0
+    empty_memo.clear()
+    warm = run(capsys, *argv, "--cache-dir", str(tmp_path), "--threads", "2")
+    assert warm == cold == plain and plain[0] == 0
+    assert len(chain_builds) == cold_builds, "the warm run evaluated a chain"
 
 
 def test_genus0_record_of_another_schema_is_a_miss(tmp_path, monkeypatch, empty_memo):
     cache = ResidueCache(tmp_path)
     job = (Genus0Chain(2, 1, 0), ((2, 6),))
-    truth = chain_residue(4, 1, *job)
+    truth = chain_residue(4, 1, job[0], [job[1]])[0]
     cache.put(chain_key(4, 1, 2, 1, 0, "2:6"), Fraction(100))
     # under the schema it was written with, the record is served, memo included
     assert graph_values(4, 1, [job], cache) == [100]
@@ -158,11 +186,68 @@ def test_planner_keeps_job_order_and_computes_duplicates_once(monkeypatch, empty
 
     monkeypatch.setattr(vsc.elliptic, "parallel_map", recording)
     values = graph_values(4, 1, jobs)
-    # each distinct job once, highest degree first, ties in job order
-    assert [tuple(item[2:]) for item in ran] == [
+    # each distinct job once, one item per part (here one set each), highest
+    # degree first, ties in job order
+    assert [(item[2], *item[3]) for item in ran] == [
         jobs[2], jobs[4], jobs[0], jobs[1], jobs[5]]
-    expected = [chain_residue(4, 1, part, ins_t) if isinstance(part, Genus0Chain)
-                else graph_residue(4, 1, part, ins_t) for part, ins_t in jobs]
+    expected = [chain_residue(4, 1, part, [ins_t])[0] if isinstance(part, Genus0Chain)
+                else graph_residue(4, 1, part, [ins_t])[0] for part, ins_t in jobs]
     assert values == expected
     # genus-0 values went to the memo that genus0_constant reads
     assert genus0_constant(4, 1, 2, 1, 0, {2: 6}) == values[4]
+
+
+def _planner_run(monkeypatch, table):
+    """Run table() and return ([((N, k, part, sets), values)] of its pool items,
+    {"leaves": .., "pruned": ..} summed over its residue chains)."""
+    items, stats = [], {}
+    serial = vsc.elliptic.parallel_map
+
+    def recording(fn, batch, workers=1):
+        batch = list(batch)
+        values = serial(fn, batch, workers)
+        items.extend(zip(batch, values))
+        return values
+
+    def counted(fs, steps):
+        return residue_chain(fs, steps, stats=stats)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(vsc.elliptic, "parallel_map", recording)
+        patch.setattr(vsc.elliptic, "residue_chain", counted)
+        patch.setattr(vsc.genus0, "residue_chain", counted)
+        table()
+    return items, stats
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_batched_values_equal_single_set_values(monkeypatch, empty_memo, k):
+    # every pool item of gw_table(5, k, 3), genus-0 chains included: each set
+    # rebuilt alone (uncapped, no shared prefix) and walked by its own chain
+    items, _ = _planner_run(monkeypatch, lambda: gw_table(5, k, 3))
+    monkeypatch.setattr(vsc.genus0, "numerator", uncapped_numerator)
+    values = []
+    for (N, _, part, sets), batch in items:
+        for ins_t, value in zip(sets, batch, strict=True):
+            if isinstance(part, Genus0Chain):
+                fs, steps = _integrand(N, k, part.degree, part.a, part.b, [ins_t])
+            else:
+                fs, steps = _graph_integrand(N, k, part, [ins_t])
+            assert residue_chain(fs, steps) == [value], (part, ins_t)
+            values.append(value)
+    assert max(len(sets) for (_, _, _, sets), _ in items) >= 5
+    assert any(isinstance(part, Genus0Chain) for (_, _, part, _), _ in items)
+    assert sum(value != 0 for value in values) > len(values) // 2
+
+
+@pytest.mark.parametrize("table, parts, jobs, leaves, pruned", [
+    (lambda: gw_table(5, 1, 3), 27, 150, 303, 16),
+    (lambda: cy_report(4, 5), 58, 58, 140, 35),
+    (lambda: gw_table(4, 1, 4), 36, 36, 90, 3),
+], ids=["gw_table(5,1,3)", "cy_report(4,5)", "gw_table(4,1,4)"])
+def test_one_pool_item_per_part(monkeypatch, empty_memo, table, parts, jobs, leaves, pruned):
+    # a part carries all its insertion sets; its chain walks the same branches
+    # per set as a chain per set did
+    items, stats = _planner_run(monkeypatch, table)
+    assert (len(items), sum(len(item[3]) for item, _ in items)) == (parts, jobs)
+    assert stats == {"leaves": leaves, "pruned": pruned}

@@ -126,7 +126,7 @@ def test_substitute_identity():
         (1, (1, 0)): Fraction(3), (2, (0, 2)): Fraction(-1, 2), (0, (1, 1)): Fraction(7)})
     shift = TruncatedSeries.zero(2, 3)
     blocks = [TruncatedSeries.block(a, 2, 3) for a in range(2)]
-    assert substitute(s, shift, blocks) == s
+    assert substitute([s], shift, blocks)[0] == s
 
 
 def test_substitute_hand_computed():
@@ -135,7 +135,7 @@ def test_substitute_hand_computed():
     F = TruncatedSeries(1, 2, {(1, (1,)): Fraction(1)})
     shift = TruncatedSeries(1, 2, {(1, (0,)): Fraction(2)})
     block = TruncatedSeries.block(0, 1, 2) + TruncatedSeries.q_power(1, 1, 2).scale(3)
-    got = substitute(F, shift, [block])
+    got = substitute([F], shift, [block])[0]
     want = TruncatedSeries(1, 2, {
         (1, (1,)): Fraction(1), (2, (1,)): Fraction(2), (2, (0,)): Fraction(3)})
     assert got == want
@@ -146,7 +146,7 @@ def test_substitute_scalar_exponential_shift():
     cap = 4
     F = TruncatedSeries(0, cap, {(d, ()): Fraction(1, d) for d in range(1, cap + 1)})
     A = TruncatedSeries(0, cap, {(1, ()): Fraction(1)})
-    got = substitute(F, A, [])
+    got = substitute([F], A, [])[0]
     expect = TruncatedSeries.zero(0, cap)
     for d in range(1, cap + 1):
         expect = expect + (TruncatedSeries.q_power(d, 0, cap) *
