@@ -76,7 +76,8 @@ def _cmd_g1(args):
 
 
 def _cmd_mirror(args):
-    C = mirror_corrections(args.N, args.k, args.qcap, _cache_from(args), args.threads)
+    C = mirror_corrections(args.N, args.k, args.qcap,
+                           cache=_cache_from(args), workers=args.threads)
     if args.inverse:
         C = invert_corrections(C)
         left, right = "x", "t"

@@ -187,8 +187,8 @@ def graph_values(N: int, k: int, jobs: list[tuple[Graph | Genus0Chain, InsT]],
     their numerators share prefixes, highest degree first (ties in job
     order), so the longest chains start first and a whole table shares one
     pool.  Computed values are written to the cache, one record per job,
-    and genus-0 values also to the memo that genus0_constant reads.  Values
-    are returned in job order.
+    and genus-0 values also to genus0.memo, read first on the next call.
+    Values are returned in job order.
     """
     values: dict[tuple, Fraction | None] = dict.fromkeys(jobs)
     misses: dict[Graph | Genus0Chain, list[InsT]] = {}
