@@ -42,11 +42,11 @@ def residue_chain(fs, steps: list[tuple[int, SparsePoly | None]], *,
 
     fs: integrands over one denominator; steps: (variable, form) in
     elimination order.  The pending forms of the steps still to come are
-    evolved through every substitution.  A branch's roots, evolved forms and
-    residue_at side memo come from the denominator alone: the first integrand
-    there computes them, and keeps them if a later one follows.  Homogeneity
-    is checked at entry (a chain of s residues turns an integrand of degree -s
-    into a constant) and after each residue.
+    evolved through every substitution below a nonzero residue.  A branch's
+    roots, evolved forms and residue_at side memo come from the denominator
+    alone: the first integrand there computes them, and keeps them if a later
+    one follows.  Homogeneity is checked at entry (a chain of s residues
+    turns an integrand of degree -s into a constant) and after each residue.
     """
     stats = {} if stats is None else stats
     branches: dict[tuple, list] = {}
@@ -67,8 +67,7 @@ def residue_chain(fs, steps: list[tuple[int, SparsePoly | None]], *,
                 root = root_in_var(pending[0], v)
                 if root is not None and not root.is_zero():
                     roots.append(root)
-            entry = [(root, {}, [p if p is None else p.substitute(v, root) for p in pending[1:]])
-                     for root in roots]
+            entry = [[root, {}, None] for root in roots]
             if later is not None:
                 branches[path] = entry
         total = Fraction(0)
@@ -79,6 +78,9 @@ def residue_chain(fs, steps: list[tuple[int, SparsePoly | None]], *,
                 continue
             if res.homogeneous_degree() != deg + 1:
                 raise RuntimeError("residue must raise the homogeneous degree by 1")
+            if evolved is None:  # kept for the next integrand that gets here
+                evolved = entry[i][2] = [p if p is None else p.substitute(v, root)
+                                         for p in pending[1:]]
             # the root index and res.den's exponents (set by the true order) fix res.den
             total += walk(res, (*path, (i, tuple(e for _, e in res.den))), evolved, deg + 1)
         return total

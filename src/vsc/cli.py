@@ -44,15 +44,16 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _add_cache_args(parser):
+def _add_cache_args(parser, threads: bool = True):
     parser.add_argument("--cache-dir", metavar="DIR",
                         help="directory for residue records "
                              "(default: $VSC_CACHE or .vsc-cache)")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the residue cache")
-    parser.add_argument("--threads", type=_int_at_least(1), default=os.cpu_count() or 1,
-                        help="worker processes for independent residues "
-                             "(default: all cores)")
+    if threads:  # only where a command has more than one chain to run
+        parser.add_argument("--threads", type=_int_at_least(1), default=os.cpu_count() or 1,
+                            help="worker processes for independent residues "
+                                 "(default: all cores)")
 
 
 def _cache_from(args) -> ResidueCache | None:
@@ -63,8 +64,7 @@ def _cache_from(args) -> ResidueCache | None:
 
 def _cmd_g0(args):
     ins = parse_insertions(args.ins)
-    value = genus0_constant(args.N, args.k, args.d, args.a, args.b, ins,
-                            cache=_cache_from(args), workers=args.threads)
+    value = genus0_constant(args.N, args.k, args.d, args.a, args.b, ins, _cache_from(args))
     print(fraction_str(value))
 
 
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     g0.add_argument("--a", type=int, required=True)
     g0.add_argument("--b", type=int, required=True)
     g0.add_argument("--ins", default="", help="insertions as p:m,p:m")
-    _add_cache_args(g0)
+    _add_cache_args(g0, threads=False)
     g0.set_defaults(func=_cmd_g0)
 
     g1 = sub.add_parser("g1", help="genus-1 structure constant")

@@ -155,7 +155,7 @@ def _graph_integrand(N: int, k: int, graph: Graph, ins_ts: list[InsT]):
 
 
 def graph_residue(N: int, k: int, graph: Graph, ins_ts: list[InsT]) -> list[Fraction]:
-    """Residues of one catalog graph, one per set of p >= 2 insertions, 0 off the selection rule."""
+    """Residues of a catalog graph, one per set of p >= 2 insertions; 0 off the selection rule."""
     live = [t for t in ins_ts if Hypersurface(N, k).genus1_selection(graph.degree, dict(t))]
     values = dict(zip(live, residue_chain(*_graph_integrand(N, k, graph, live))))
     return [values.get(ins_t, Fraction(0)) for ins_t in ins_ts]
@@ -201,8 +201,7 @@ def graph_values(N: int, k: int, jobs: list[tuple[Graph | Genus0Chain, InsT]],
             misses.setdefault(job[0], []).append(job[1])
     items = sorted(((N, k, part, sorted(sets)) for part, sets in misses.items()),
                    key=lambda item: -item[2].degree)
-    computed = parallel_map(_evaluate, items, workers) if items else []
-    for (_, _, part, sets), values_of_part in zip(items, computed):
+    for (_, _, part, sets), values_of_part in zip(items, parallel_map(_evaluate, items, workers)):
         for ins_t, value in zip(sets, values_of_part):
             values[(part, ins_t)] = value
             if cache is not None:

@@ -155,7 +155,7 @@ def midpoint(N: int, n: int, v: int, left: int, right: int,
 
 
 def genus0_constant(N: int, k: int, d: int, a: int, b: int,
-                    ins: dict[int, int] | None = None, cache=None, workers: int = 1) -> Fraction:
+                    ins: dict[int, int] | None = None, cache=None) -> Fraction:
     """w(O_{h^a} O_{h^b} | prod_p (O_{h^p})^{m_p})_{0,d}, exactly.
 
     Insertions with p = 0 kill the constant, each p = 1 insertion multiplies
@@ -177,7 +177,7 @@ def genus0_constant(N: int, k: int, d: int, a: int, b: int,
     if not mult or not X.genus0_selection(d, a, b, rest):
         return Fraction(0)
     from .elliptic import graph_values  # the planner's module imports this one
-    return mult * graph_values(N, k, [(Genus0Chain(d, a, b), ins_key(rest))], cache, workers)[0]
+    return mult * graph_values(N, k, [(Genus0Chain(d, a, b), ins_key(rest))], cache)[0]
 
 
 def chain_residue(N: int, k: int, chain: Genus0Chain, ins_ts) -> list[Fraction]:

@@ -128,18 +128,20 @@ def test_warm_run_evaluates_no_chain(tmp_path, capsys, empty_memo, chain_builds,
     assert pool_sizes == []
 
 
-@pytest.mark.parametrize("argv", [
-    ("mirror", "--N", "5", "--k", "1", "--qcap", "3"),
-    ("g0", "--N", "4", "--k", "1", "--d", "2", "--a", "1", "--b", "0", "--ins", "2:6"),
+@pytest.mark.parametrize("argv, serial, pooled", [
+    (("mirror", "--N", "5", "--k", "1", "--qcap", "3"), ("--threads", "1"), ("--threads", "2")),
+    # g0 evaluates one chain, so it has no --threads
+    (("g0", "--N", "4", "--k", "1", "--d", "2", "--a", "1", "--b", "0", "--ins", "2:6"), (), ()),
 ], ids=["mirror", "g0"])
-def test_g0_and_mirror_go_through_the_cache(tmp_path, capsys, empty_memo, chain_builds, argv):
+def test_g0_and_mirror_go_through_the_cache(tmp_path, capsys, empty_memo, chain_builds,
+                                            argv, serial, pooled):
     plain = run(capsys, *argv, "--no-cache")
     empty_memo.clear()
-    cold = run(capsys, *argv, "--cache-dir", str(tmp_path), "--threads", "1")
+    cold = run(capsys, *argv, "--cache-dir", str(tmp_path), *serial)
     cold_builds = len(chain_builds)
     assert cold_builds > 0 and len(list(tmp_path.glob("*.json"))) > 0
     empty_memo.clear()
-    warm = run(capsys, *argv, "--cache-dir", str(tmp_path), "--threads", "2")
+    warm = run(capsys, *argv, "--cache-dir", str(tmp_path), *pooled)
     assert warm == cold == plain and plain[0] == 0
     assert len(chain_builds) == cold_builds, "the warm run evaluated a chain"
 
