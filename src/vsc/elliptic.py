@@ -201,7 +201,8 @@ def graph_values(N: int, k: int, jobs: list[tuple[Graph | Genus0Chain, InsT]],
             misses.setdefault(job[0], []).append(job[1])
     items = sorted(((N, k, part, sorted(sets)) for part, sets in misses.items()),
                    key=lambda item: -item[2].degree)
-    for (_, _, part, sets), values_of_part in zip(items, parallel_map(_evaluate, items, workers)):
+    computed = parallel_map(_evaluate, items, workers) if items else []
+    for (_, _, part, sets), values_of_part in zip(items, computed):
         for ins_t, value in zip(sets, values_of_part):
             values[(part, ins_t)] = value
             if cache is not None:

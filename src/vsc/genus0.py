@@ -20,9 +20,8 @@ contraction factor), edges, self-loop weights, a denominator and residue
 steps (variable, form) as in chain.residue_chain; ``midpoint`` adds an
 interior chain vertex and returns its step.  An edge ends at a variable or
 at a linear form, such as w = z_core + u of a cluster.  ``integrand`` is the
-one assembler of every layout, one integrand per insertion set, and the
-genus-0 chain is the path 0, 1, ..., d; elliptic.py describes the genus-1
-graphs the same way.
+one assembler of every layout, one integrand per insertion set.  The genus-0
+chain is the path 0, 1, ..., d; elliptic.py describes genus-1 graphs alike.
 """
 
 from __future__ import annotations
