@@ -30,7 +30,7 @@ def root_in_var(form: SparsePoly, v: int) -> SparsePoly | None:
         return None
     if form.degree_in(v) > 1:
         raise ValueError(f"designated factor {form!r} is nonlinear in x{v}")
-    at_zero, cv = form.shift_eps(v, SparsePoly.zero(form.nvars), 2)
+    at_zero, cv = form.eps_coefficients(v, SparsePoly.zero(form.nvars), 2)
     if not cv.is_constant():
         raise ValueError(f"designated factor {form!r} has nonconstant x{v} coefficient")
     return at_zero.scale(Fraction(-1) / cv.constant_value())

@@ -23,8 +23,11 @@ leading coefficient is the product of two positive ones.  A product therefore
 multiplies plain ints and the two contents and needs no gcd pass.  A sum
 brings both contents to a common one, adds integers, and takes one gcd.
 Division by a linear factor divides the primitive parts, which is exact over
-the integers whenever it is exact at all.  All arithmetic is exact.  Only
-this module knows the layout; ``items()`` and ``coefficient()`` hide it.
+the integers whenever it is exact at all.  All arithmetic is exact.  An
+eps-series is one scalar and a list of integer term dicts, not normalized,
+whose eps^j coefficient is the scalar times dict j; residues are computed on
+them by ``shift_eps``, ``eps_line``, ``eps_mul`` and ``eps_coefficient``.
+Only this module knows the layout; ``items()`` and ``coefficient()`` hide it.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from math import comb, gcd, lcm
 __all__ = ["SparsePoly", "linear_form", "MAX_DEGREE"]
 
 Exponents = tuple[int, ...]
+Terms = dict[int, int]
 
 _BITS = 16
 MAX_DEGREE = (1 << _BITS) - 1
@@ -60,20 +64,21 @@ def _unit(v: int, nvars: int) -> int:
     return (1 << (_BITS * v)) | (1 << (_BITS * nvars))
 
 
-def _mul_terms(a: dict[int, int], b: dict[int, int], top: int) -> dict[int, int]:
-    """Product of two nonzero integer term dicts; ``top`` is the degree field's shift."""
+def _mul_add(out: Terms, a: Terms, b: Terms, top: int) -> Terms:
+    """out += a * b for nonzero term dicts, zeros kept; top is the degree field's shift."""
     _check_degree((max(a) >> top) + (max(b) >> top))
     if len(a) > len(b):
         a, b = b, a
-    out: dict[int, int] = {}
     get = out.get
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb
             out[e] = get(e, 0) + ca * cb
-    if not all(out.values()):
-        out = {e: c for e, c in out.items() if c}
     return out
+
+
+def _nonzero(terms: Terms) -> Terms:
+    return terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
 
 
 class SparsePoly:
@@ -96,7 +101,7 @@ class SparsePoly:
         self.nvars, self.terms, self.content = nvars, p.terms, p.content
 
     @classmethod
-    def _raw(cls, nvars: int, terms: dict[int, int], content: Fraction) -> SparsePoly:
+    def _raw(cls, nvars: int, terms: Terms, content: Fraction) -> SparsePoly:
         # internal fast path: trusts that terms are primitive, zero-free and
         # have a positive leading coefficient.  Term dicts are shared between
         # polynomials (scale, negation), so none is changed after this call.
@@ -107,7 +112,7 @@ class SparsePoly:
         return p
 
     @classmethod
-    def _make(cls, nvars: int, terms: dict[int, int], content) -> SparsePoly:
+    def _make(cls, nvars: int, terms: Terms, content) -> SparsePoly:
         """content * terms for zero-free integer terms of any gcd and sign."""
         if not terms:
             return cls._raw(nvars, {}, _ZERO)
@@ -222,9 +227,7 @@ class SparsePoly:
         get = out.get
         for e, c in b.terms.items():
             out[e] = get(e, 0) + mb * c
-        if not all(out.values()):
-            out = {e: c for e, c in out.items() if c}
-        return SparsePoly._make(self.nvars, out, Fraction(g, l))
+        return SparsePoly._make(self.nvars, _nonzero(out), Fraction(g, l))
 
     __radd__ = __add__
 
@@ -247,7 +250,7 @@ class SparsePoly:
         n = self.nvars
         if not self.terms or not other.terms:
             return SparsePoly.zero(n)
-        return SparsePoly._raw(n, _mul_terms(self.terms, other.terms, _BITS * n),
+        return SparsePoly._raw(n, _nonzero(_mul_add({}, self.terms, other.terms, _BITS * n)),
                                self.content * other.content)
 
     __rmul__ = __mul__
@@ -265,7 +268,7 @@ class SparsePoly:
         for e, c in other.terms.items():
             if (e >> shift) & MAX_DEGREE <= cap:
                 by_deg[(e >> shift) & MAX_DEGREE].append((e, c))
-        out: dict[int, int] = {}
+        out: Terms = {}
         get = out.get
         for ea, ca in self.terms.items():
             da = (ea >> shift) & MAX_DEGREE
@@ -275,19 +278,26 @@ class SparsePoly:
                 for eb, cb in group:
                     e = ea + eb
                     out[e] = get(e, 0) + ca * cb
-        return SparsePoly._make(n, {e: c for e, c in out.items() if c},
-                                self.content * other.content)
+        return SparsePoly._make(n, _nonzero(out), self.content * other.content)
 
     # -- expansion around a point ---------------------------------------------
 
     def substitute(self, v: int, value: SparsePoly) -> SparsePoly:
         """Replace variable ``v`` by ``value``; ``value`` must not involve ``v``."""
-        return self.shift_eps(v, value, 1)[0]
+        return self.eps_coefficients(v, value, 1)[0]
 
-    def shift_eps(self, v: int, root: SparsePoly, m: int) -> list[SparsePoly]:
-        """Coefficients of eps^0 .. eps^{m-1} in self(v -> root + eps).
+    def eps_coefficients(self, v: int, root: SparsePoly, m: int) -> list[SparsePoly]:
+        """The m coefficients of ``shift_eps`` as polynomials."""
+        content, coeffs = self.shift_eps(v, root, m)
+        coeffs += [{}] * (m - len(coeffs))
+        return [SparsePoly._make(self.nvars, d, content) for d in coeffs]
 
-        The returned polynomials do not involve ``v``; ``root`` must not either.
+    def shift_eps(self, v: int, root: SparsePoly, m: int) -> tuple[Fraction, list[Terms]]:
+        """Eps-series (content, dicts) of self(v -> root + eps) up to eps^{m-1}.
+
+        Only the orders up to the degree in ``v`` can be nonzero, and only
+        they get a dict.  The coefficients do not involve ``v``; ``root``
+        must not either.
         This is the kernel's one expansion around a point: substitution,
         residues and root solving all read their values from it.
         """
@@ -295,13 +305,14 @@ class SparsePoly:
             raise ValueError("root involves the pole variable")
         n = self.nvars
         shift, unit, top = _BITS * v, _unit(v, n), _BITS * n
-        out: list[dict[int, int]] = [{} for _ in range(m)]
+        K = self.degree_in(v)
+        out: list[Terms] = [{} for _ in range(min(m, K + 1))]
         if not root.terms or not self.terms:
             for e, c in self.terms.items():
                 k = (e >> shift) & MAX_DEGREE
                 if k < m:
                     out[k][e - k * unit] = c
-            return [SparsePoly._make(n, d, self.content) for d in out]
+            return self.content, out
         # root = s / q with integer terms s; scale every term by q^K, K the
         # degree in v, so that the expansion stays in the integers
         q = root.content.denominator
@@ -310,14 +321,13 @@ class SparsePoly:
         if deg_s > 1:
             _check_degree(max((e >> top) + ((e >> shift) & MAX_DEGREE) * (deg_s - 1)
                               for e in self.terms))
-        K = self.degree_in(v)
         q_pow = [q ** j for j in range(K + 1)]
-        s_pow = [{0: 1}]
+        s_pow = [{0: 1}, s]
         for e, c in self.terms.items():
             k = (e >> shift) & MAX_DEGREE
             base = e - k * unit
             while len(s_pow) <= k:
-                s_pow.append(_mul_terms(s_pow[-1], s, top))
+                s_pow.append(_nonzero(_mul_add({}, s_pow[-1], s, top)))
             for i in range(min(k, m - 1) + 1):
                 coef = comb(k, i) * c * q_pow[K - k + i]
                 d = out[i]
@@ -325,9 +335,7 @@ class SparsePoly:
                 for er, cr in s_pow[k - i].items():
                     e2 = base + er
                     d[e2] = get(e2, 0) + coef * cr
-        content = self.content / q_pow[K]
-        return [SparsePoly._make(n, {e: c for e, c in d.items() if c}, content)
-                for d in out]
+        return self.content / q_pow[K], [_nonzero(d) for d in out]
 
     # -- division by a linear factor ------------------------------------------
 
@@ -351,11 +359,11 @@ class SparsePoly:
         cv = form.terms[pivot]
         shift = (pivot ^ (1 << top)).bit_length() - 1
         tail = [(e, c) for e, c in form.terms.items() if e != pivot]
-        by_deg: dict[int, dict[int, int]] = {}
+        by_deg: dict[int, Terms] = {}
         for e, c in self.terms.items():
             j = (e >> shift) & MAX_DEGREE
             by_deg.setdefault(j, {})[e - j * pivot] = c
-        quot: dict[int, int] = {}
+        quot: Terms = {}
         for j in range(max(by_deg), 0, -1):
             nj = by_deg.get(j)
             if not nj:
@@ -387,6 +395,44 @@ class SparsePoly:
             )
             parts.append(f"{c}" if not mono else (f"{c}*{mono}" if c != 1 else mono))
         return " + ".join(parts)
+
+
+def eps_line(c: SparsePoly, a: SparsePoly, e: int, m: int) -> tuple[Fraction, list[Terms]]:
+    """c^(e+m-1) (c + a eps)^(-e) up to eps^(m-1), for c = c0 c' and a = a0 a'
+    (content times primitive part) and a0/c0 = p/q in lowest terms: its eps^j
+    coefficient (-1)^j C(e+j-1, j) a^j c^(m-1-j) is (c0/q)^(m-1) times the
+    integer (-1)^j C(e+j-1, j) p^j q^(m-1-j) times a'^j c'^(m-1-j)."""
+    top = _BITS * c.nvars
+    p, q = (a.content / c.content).as_integer_ratio()
+    c_pow, a_pow, coeffs = [{0: 1}], {0: 1}, []
+    while len(c_pow) < m:
+        c_pow.append(_nonzero(_mul_add({}, c_pow[-1], c.terms, top)))
+    for j in range(m):
+        t = c_pow[m - 1 - j]
+        if j and not a.is_constant():
+            a_pow = _nonzero(_mul_add({}, a_pow, a.terms, top))
+            t = _nonzero(_mul_add({}, a_pow, t, top))
+        k = (-1) ** j * comb(e + j - 1, j) * p ** j * q ** (m - 1 - j)
+        coeffs.append({x: k * y for x, y in t.items()})
+    return (c.content / q) ** (m - 1), coeffs
+
+
+def eps_mul(s: list[Terms], t: list[Terms], orders, nvars: int) -> list[Terms]:
+    """The dicts of the given orders of the product of two eps-series."""
+    top, out = _BITS * nvars, []
+    for j in orders:
+        d: Terms = {}
+        for i in range(max(0, j + 1 - len(t)), min(j + 1, len(s))):
+            if s[i] and t[j - i]:
+                _mul_add(d, s[i], t[j - i], top)
+        out.append(_nonzero(d))
+    return out
+
+
+def eps_coefficient(s: list[Terms], t: list[Terms], j: int, content: Fraction,
+                    nvars: int) -> SparsePoly:
+    """content times the eps^j coefficient of the product of two eps-series."""
+    return SparsePoly._make(nvars, eps_mul(s, t, [j], nvars)[0], content)
 
 
 def linear_form(coeffs: dict[int, Fraction | int], nvars: int) -> SparsePoly:

@@ -24,7 +24,8 @@ root + eps,
 
 where a_0 runs over the x_v coefficients of the vanishing factors; the
 factors free of v stay in the denominator as they were.  Every intermediate
-stays polynomial.
+stays polynomial, an eps-series of ``poly`` (integer term dicts with one
+scalar): a residue normalizes only R = sum_j P_{m-1-j} S_j, summed in one dict.
 
 The pole is taken at its true order.  If P = eps^i P' (P_0 .. P_{i-1} zero),
 the formula reads off the eps^{m-1-i} coefficient of P' / prod (c + a eps)^e,
@@ -41,9 +42,8 @@ numerator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
-from .poly import SparsePoly
+from .poly import SparsePoly, eps_coefficient, eps_line, eps_mul
 
 __all__ = ["RatExpr", "NonLinearPoleError"]
 
@@ -52,22 +52,6 @@ _ONE = Fraction(1)
 
 class NonLinearPoleError(ValueError):
     """A denominator factor is not linear in the pole variable of a residue."""
-
-
-def _eps_mul(a: list[SparsePoly], b: list[SparsePoly], m: int) -> list[SparsePoly]:
-    """Product of two eps-series, truncated at eps^m."""
-    n = a[0].nvars
-    out = [SparsePoly.zero(n) for _ in range(min(m, len(a) + len(b) - 1))]
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= m:
-                break
-            if bj.is_zero():
-                continue
-            out[i + j] = out[i + j] + ai * bj
-    return out
 
 
 class RatExpr:
@@ -118,7 +102,10 @@ class RatExpr:
     def residue_at(self, v: int, root: SparsePoly, side: dict | None = None) -> RatExpr:
         """Residue in v at v = root; zero when no denominator factor vanishes.
 
-        side keeps what is read from the denominator alone, for the next one over it.
+        side keeps what the denominator and root alone decide, for the next
+        numerator over them: side[0] the pole order, the factors that stay and
+        the (c, a, e) of the others; side[m] S, the result's denominator as
+        __init__ normalizes it, and S's scalar times the constant that folds out.
         Raises NonLinearPoleError for a factor of degree above 1 in v.
         """
         n = self.nvars
@@ -136,7 +123,7 @@ class RatExpr:
                     continue
                 if deg > 1:
                     raise NonLinearPoleError(f"denominator factor {f!r} is nonlinear in x{v}")
-                c, a = f.shift_eps(v, root, 2)
+                c, a = f.eps_coefficients(v, root, 2)
                 if c.is_zero():
                     m += e
                     den.append((a, e))
@@ -147,36 +134,26 @@ class RatExpr:
         if m == 0:
             return RatExpr.zero(n)
         # the true order: drop the numerator's leading zero orders in eps
-        P = self.num.shift_eps(v, root, m)
-        i0 = next((i for i, p in enumerate(P) if not p.is_zero()), m)
-        if i0 == m:
+        content, P = self.num.shift_eps(v, root, m)
+        i0 = next((i for i, p in enumerate(P) if p), None)
+        if i0 is None:
             return RatExpr.zero(n)
         P, m = P[i0:], m - i0
         if m not in side:
-            S: list[SparsePoly] | None = None
+            scale, S = _ONE, [{0: 1}]
             for c, a, e in lines:
-                c_pow = [SparsePoly.constant(1, n), c][:m]
-                while len(c_pow) < m:
-                    c_pow.append(c_pow[-1] * c)
-                a = a.constant_value() if a.is_constant() else a
-                a_pow = _ONE
-                series = []
-                for j in range(m):
-                    series.append(c_pow[m - 1 - j] * a_pow * ((-1) ** j * comb(e + j - 1, j)))
-                    a_pow = a_pow * a
-                S = series if S is None else _eps_mul(S, series, m)
-            side[m] = S, den + [(c, e + m - 1) for c, _, e in lines]
-        S, top = side[m]
-        if S is None:
-            R = P[m - 1]
-        else:
-            R = SparsePoly.zero(n)
-            for j, s in enumerate(S):
-                if not P[m - 1 - j].is_zero() and not s.is_zero():
-                    R = R + P[m - 1 - j] * s
+                s, series = eps_line(c, a, e, m)
+                scale, S = scale * s, eps_mul(S, series, range(m), n)
+            unit = RatExpr(SparsePoly.constant(scale, n),
+                           den + [(c, e + m - 1) for c, _, e in lines])
+            side[m] = unit.num.content, S, unit.den
+        scale, S, top = side[m]
+        R = eps_coefficient(P, S, m - 1, content * scale, n)
         if R.is_zero():
             return RatExpr.zero(n)
-        return RatExpr(R, top)
+        res = RatExpr.__new__(RatExpr)  # top is merged as __init__ leaves it
+        res.num, res.den = R, top
+        return res
 
     # -- normalization and extraction -----------------------------------------
 

@@ -143,3 +143,19 @@ sys.exit(1)
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7])
+def test_ltilde_zinger_identities(k):
+    # Zinger: Ltilde_m = Ltilde_{k-1-m} for 1 <= m <= k-2, and
+    # Ltilde_0^2 * prod_{m=1}^{k-2} Ltilde_m = 1 / (1 - k^k q)
+    cap = 4
+    lt = [ltilde(k, m, cap) for m in range(k - 1)]
+    for m in range(1, k - 1):
+        assert lt[m] == lt[k - 1 - m]
+    prod = lt[0] * lt[0]
+    for m in range(1, k - 1):
+        prod = prod * lt[m]
+    one_minus = (TruncatedSeries.constant(1, 0, cap)
+                 - TruncatedSeries.q_power(1, 0, cap).scale(k ** k))
+    assert prod == one_minus.inverse()

@@ -104,7 +104,7 @@ def test_shift_eps_matches_substitution(p, root):
     m = p.degree_in(0) + 1
     if m <= 0:
         m = 1
-    coeffs = p.shift_eps(0, root, m)
+    coeffs = p.eps_coefficients(0, root, m)
     t = SparsePoly.variable(2, 3)
     shifted = poly_substitute(subst_zero(p, 2), 0, root + t)
     for i, ci in enumerate(coeffs):
@@ -112,6 +112,19 @@ def test_shift_eps_matches_substitution(p, root):
             e[:2] + (0,): c for e, c in shifted.items() if e[2] == i
         })
         assert collected == subst_zero(ci, 2)
+
+
+def test_shift_eps_returns_only_the_orders_up_to_the_degree():
+    # (y + eps)^2 y + y = y^3 + y + 2 y^2 eps + y eps^2: 3 orders, however many asked
+    x, y = var(0, 2), var(1, 2)
+    p = x * x * y + y
+    content, coeffs = p.shift_eps(0, y, 40)
+    assert len(coeffs) == 3
+    zeros = [SparsePoly.zero(2)] * 37
+    assert p.eps_coefficients(0, y, 40) == [y * y * y + y, 2 * y * y, y] + zeros
+    # a pole of order 40 over a numerator of degree 39 in the pole variable
+    f = RatExpr(P(1, {(39,): 1}), [(SparsePoly.variable(0, 1), 40)])
+    assert f.residue_at(0, SparsePoly.zero(1)).as_fraction() == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,7 +155,7 @@ def test_packed_kernel_matches_tuple_oracles(data):
     # shift_eps: with eps as an extra variable t, sum_i c_i t^i = a(x_v -> root + t)
     v = data.draw(st.integers(0, n - 1))
     root = subst_zero(b, v)
-    coeffs = a.shift_eps(v, root, max(a.degree_in(v), 0) + 1)
+    coeffs = a.eps_coefficients(v, root, max(a.degree_in(v), 0) + 1)
     assert all(c.degree_in(v) <= 0 for c in coeffs)
     assert coeffs[0] == poly_substitute(a, v, root)
 
@@ -316,6 +329,41 @@ def test_residue_at_true_order_matches_derivative_formula(data):
     assert equals(got, expected)
     if j >= m:
         assert got.is_zero()
+
+
+def test_residue_with_polynomial_x_v_coefficient():
+    # Res_{x0=0} 1/(x0^2 (x1 x0 + x2)) = -x1/x2^2
+    x0, x1, x2 = var(0), var(1), var(2)
+    f = RatExpr(SparsePoly.constant(1, 3), [(x0, 2), (x1 * x0 + x2, 1)])
+    got = f.residue_at(0, SparsePoly.zero(3))
+    assert equals(got, RatExpr(-x1, [(x2, 2)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_residue_with_polynomial_x_v_coefficient_matches_derivative_formula(data):
+    # factors x0 h + r whose x0 coefficient h is a polynomial in x1, x2, beside a
+    # pole of order 1-4 at x0 = 0, itself (x0 h0)^m for a constant or linear h0
+    small = st.integers(-3, 3)
+    x0, x1, x2 = var(0), var(1), var(2)
+    m = data.draw(st.integers(1, 4))
+    h0 = data.draw(st.sampled_from([SparsePoly.constant(2, 3), x1, x1 - 3 * x2]))
+    den = []
+    for i in range(data.draw(st.integers(1, 3))):
+        h = linear_form({1: data.draw(small), 2: data.draw(small)}, 3) + data.draw(small)
+        if i == 0:
+            h = h * x1 + x2  # never constant
+        r = linear_form({1: data.draw(small), 2: data.draw(small)}, 3) + data.draw(small)
+        if not r.is_zero():
+            den.append((x0 * h + r, data.draw(st.integers(1, 3))))
+    num = data.draw(_poly_in(3))
+    f = RatExpr(num, [(x0 * h0, m)] + den)
+    manual = RatExpr(num, [(h0, m)] + den)
+    for _ in range(m - 1):
+        manual = derivative(manual, 0)
+    manual = substitute(manual, 0, SparsePoly.zero(3))
+    expected = RatExpr(manual.num.scale(F(1, factorial(m - 1))), manual.den)
+    assert equals(f.residue_at(0, SparsePoly.zero(3)), expected)
 
 
 def test_residue_rejects_nonlinear_vanishing_factor():
