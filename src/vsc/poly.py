@@ -32,7 +32,7 @@ Only this module knows the layout; ``items()`` and ``coefficient()`` hide it.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -417,7 +417,7 @@ def eps_line(c: SparsePoly, a: SparsePoly, e: int, m: int) -> tuple[Fraction, li
     return (c.content / q) ** (m - 1), coeffs
 
 
-def eps_mul(s: list[Terms], t: list[Terms], orders, nvars: int) -> list[Terms]:
+def eps_mul(s: list[Terms], t: list[Terms], orders: Iterable[int], nvars: int) -> list[Terms]:
     """The dicts of the given orders of the product of two eps-series."""
     top, out = _BITS * nvars, []
     for j in orders:

@@ -54,37 +54,40 @@ class NonLinearPoleError(ValueError):
     """A denominator factor is not linear in the pole variable of a residue."""
 
 
+def _normalized(den) -> tuple[Fraction, tuple[tuple[SparsePoly, int], ...]]:
+    """(scale, factors): 1 / prod f^e over den is scale / prod over factors,
+    with constants folded into scale and primitive parts merged."""
+    merged: dict[tuple, list] = {}
+    scale = _ONE
+    for f, e in den:
+        if e < 0:
+            raise ValueError("negative denominator multiplicity")
+        if e == 0:
+            continue
+        if f.is_zero():
+            raise ZeroDivisionError("denominator factor is identically zero")
+        if f.is_constant():
+            scale /= f.constant_value() ** e
+            continue
+        # the primitive part with a positive leading term is canonical, so
+        # identical factors from different substitution chains merge
+        content, fn = f.primitive()
+        scale /= content ** e
+        k = fn.key()
+        if k in merged:
+            merged[k][1] += e
+        else:
+            merged[k] = [fn, e]
+    return scale, tuple((f, e) for f, e in merged.values())
+
+
 class RatExpr:
     __slots__ = ("num", "den")
 
     def __init__(self, num: SparsePoly, den: tuple | list = ()):
-        merged: dict[tuple, list] = {}
-        scale = _ONE
-        for f, e in den:
-            if e < 0:
-                raise ValueError("negative denominator multiplicity")
-            if e == 0:
-                continue
-            if f.is_zero():
-                raise ZeroDivisionError("denominator factor is identically zero")
-            if f.is_constant():
-                scale /= f.constant_value() ** e
-                continue
-            # the primitive part with a positive leading term is canonical, so
-            # identical factors from different substitution chains merge
-            content, fn = f.primitive()
-            scale /= content ** e
-            k = fn.key()
-            if k in merged:
-                merged[k][1] += e
-            else:
-                merged[k] = [fn, e]
+        scale, den = _normalized(den)
         self.num = num.scale(scale) if scale != 1 else num
-        self.den: tuple[tuple[SparsePoly, int], ...]
-        if self.num.is_zero():
-            self.den = ()
-        else:
-            self.den = tuple((f, e) for f, e in merged.values())
+        self.den = () if self.num.is_zero() else den
 
     @classmethod
     def zero(cls, nvars: int) -> RatExpr:
@@ -104,8 +107,8 @@ class RatExpr:
 
         side keeps what the denominator and root alone decide, for the next
         numerator over them: side[0] the pole order, the factors that stay and
-        the (c, a, e) of the others; side[m] S, the result's denominator as
-        __init__ normalizes it, and S's scalar times the constant that folds out.
+        the (c, a, e) of the others; side[m] S, the result's normalized
+        denominator, and S's scalar times the constant that normalizing folds out.
         Raises NonLinearPoleError for a factor of degree above 1 in v.
         """
         n = self.nvars
@@ -144,14 +147,13 @@ class RatExpr:
             for c, a, e in lines:
                 s, series = eps_line(c, a, e, m)
                 scale, S = scale * s, eps_mul(S, series, range(m), n)
-            unit = RatExpr(SparsePoly.constant(scale, n),
-                           den + [(c, e + m - 1) for c, _, e in lines])
-            side[m] = unit.num.content, S, unit.den
+            fold, top = _normalized(den + [(c, e + m - 1) for c, _, e in lines])
+            side[m] = scale * fold, S, top
         scale, S, top = side[m]
         R = eps_coefficient(P, S, m - 1, content * scale, n)
         if R.is_zero():
             return RatExpr.zero(n)
-        res = RatExpr.__new__(RatExpr)  # top is merged as __init__ leaves it
+        res = RatExpr.__new__(RatExpr)  # top is already normalized
         res.num, res.den = R, top
         return res
 
