@@ -101,7 +101,7 @@ class SparsePoly:
         self.nvars, self.terms, self.content = nvars, p.terms, p.content
 
     @classmethod
-    def _raw(cls, nvars: int, terms: Terms, content: Fraction) -> SparsePoly:
+    def _raw(cls, nvars: int, terms: dict[int, int], content: Fraction) -> SparsePoly:
         # internal fast path: trusts that terms are primitive, zero-free and
         # have a positive leading coefficient.  Term dicts are shared between
         # polynomials (scale, negation), so none is changed after this call.
@@ -112,7 +112,7 @@ class SparsePoly:
         return p
 
     @classmethod
-    def _make(cls, nvars: int, terms: Terms, content) -> SparsePoly:
+    def _make(cls, nvars: int, terms: dict[int, int], content) -> SparsePoly:
         """content * terms for zero-free integer terms of any gcd and sign."""
         if not terms:
             return cls._raw(nvars, {}, _ZERO)
@@ -268,7 +268,7 @@ class SparsePoly:
         for e, c in other.terms.items():
             if (e >> shift) & MAX_DEGREE <= cap:
                 by_deg[(e >> shift) & MAX_DEGREE].append((e, c))
-        out: Terms = {}
+        out: dict[int, int] = {}
         get = out.get
         for ea, ca in self.terms.items():
             da = (ea >> shift) & MAX_DEGREE
@@ -359,11 +359,11 @@ class SparsePoly:
         cv = form.terms[pivot]
         shift = (pivot ^ (1 << top)).bit_length() - 1
         tail = [(e, c) for e, c in form.terms.items() if e != pivot]
-        by_deg: dict[int, Terms] = {}
+        by_deg: dict[int, dict[int, int]] = {}
         for e, c in self.terms.items():
             j = (e >> shift) & MAX_DEGREE
             by_deg.setdefault(j, {})[e - j * pivot] = c
-        quot: Terms = {}
+        quot: dict[int, int] = {}
         for j in range(max(by_deg), 0, -1):
             nj = by_deg.get(j)
             if not nj:

@@ -354,8 +354,9 @@ def test_residue_with_polynomial_x_v_coefficient_matches_derivative_formula(data
         if i == 0:
             h = h * x1 + x2  # never constant
         r = linear_form({1: data.draw(small), 2: data.draw(small)}, 3) + data.draw(small)
-        if not r.is_zero():
-            den.append((x0 * h + r, data.draw(st.integers(1, 3))))
+        if r.is_zero():
+            r = x1 + 1  # the factor must not vanish at x0 = 0
+        den.append((x0 * h + r, data.draw(st.integers(1, 3))))
     num = data.draw(_poly_in(3))
     f = RatExpr(num, [(x0 * h0, m)] + den)
     manual = RatExpr(num, [(h0, m)] + den)
