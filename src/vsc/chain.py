@@ -30,7 +30,7 @@ def root_in_var(form: SparsePoly, v: int) -> SparsePoly | None:
         return None
     if form.degree_in(v) > 1:
         raise ValueError(f"designated factor {form!r} is nonlinear in x{v}")
-    at_zero, cv = form.eps_coefficients(v, SparsePoly.zero(form.nvars), 2)
+    at_zero, cv = form.linear_at(v, SparsePoly.zero(form.nvars))
     if not cv.is_constant():
         raise ValueError(f"designated factor {form!r} has nonconstant x{v} coefficient")
     return at_zero.scale(Fraction(-1) / cv.constant_value())
@@ -79,7 +79,7 @@ def residue_chain(fs, steps: list[tuple[int, SparsePoly | None]], *,
             if res.homogeneous_degree() != deg + 1:
                 raise RuntimeError("residue must raise the homogeneous degree by 1")
             if evolved is None:  # kept for the next integrand that gets here
-                evolved = entry[i][2] = [p if p is None else p.substitute(v, root)
+                evolved = entry[i][2] = [p if p is None else p.linear_at(v, root)[0]
                                          for p in pending[1:]]
             # the root index and res.den's exponents (set by the true order) fix res.den
             total += walk(res, (*path, (i, tuple(e for _, e in res.den))), evolved, deg + 1)

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .chain import residue_chain
 from .hypersurface import Hypersurface, ins_count, ins_key
-from .poly import SparsePoly, linear_form
+from .poly import SparsePoly, binary_form, linear_form
 from .ratfun import RatExpr
 
 __all__ = ["e_poly", "w_poly", "numerator", "integrand", "midpoint", "genus0_constant",
@@ -57,26 +57,20 @@ memo: dict[tuple, Fraction] = {}
 
 
 def e_poly(k: int, x: SparsePoly, y: SparsePoly) -> SparsePoly:
-    """e_k(x, y) = prod_j (j x + (k-j) y) for linear forms x, y: the Euler factor of an edge."""
-    out = SparsePoly.constant(1, x.nvars)
-    for j in range(k + 1):
-        out = out * (x.scale(j) + y.scale(k - j))
-    return out
+    """e_k(x, y) = prod_j (j x + (k-j) y), the Euler factor of an edge: the
+    binary form of the integer coefficients of prod_j (j X + (k-j) Y)."""
+    coeffs = [1]
+    for j in range(k + 1):  # coefficient i belongs to X^i Y^(j+1-i)
+        coeffs = [(k - j) * a + j * b for a, b in zip([*coeffs, 0], [0, *coeffs])]
+    return binary_form(coeffs, x, y)
 
 
 def w_poly(p: int, x: SparsePoly, y: SparsePoly) -> SparsePoly:
-    """w_p(x, y) = sum_{j<p} x^j y^{p-1-j} for linear forms x, y.
+    """w_p(x, y) = sum_{j<p} x^j y^{p-1-j}: the binary form with p coefficients 1.
 
     w_0 = 0, w_1 = 1, and a self-loop x = y gives the diagonal value p x^{p-1}.
     """
-    xs, ys = [SparsePoly.constant(1, x.nvars)], [SparsePoly.constant(1, x.nvars)]
-    for _ in range(p - 1):
-        xs.append(xs[-1] * x)
-        ys.append(ys[-1] * y)
-    out = SparsePoly.zero(x.nvars)
-    for j in range(p):
-        out = out + xs[j] * ys[p - 1 - j]
-    return out
+    return binary_form([1] * p, x, y)
 
 
 def numerator(k: int, lead: SparsePoly, edges, ins_ts,

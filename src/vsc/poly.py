@@ -27,7 +27,10 @@ the integers whenever it is exact at all.  All arithmetic is exact.  An
 eps-series is one scalar and a list of integer term dicts, not normalized,
 whose eps^j coefficient is the scalar times dict j; residues are computed on
 them by ``shift_eps``, ``eps_line``, ``eps_mul`` and ``eps_coefficient``.
-Only this module knows the layout; ``items()`` and ``coefficient()`` hide it.
+A factor linear in x_v needs no series: ``linear_at`` gives its value and
+slope at a root.  ``binary_form`` sums integer multiples of x^i y^(D-i), the
+edge factors of a chain, on the same integer dicts.  Only this module knows
+the layout; ``items()`` and ``coefficient()`` hide it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-__all__ = ["SparsePoly", "linear_form", "MAX_DEGREE"]
+__all__ = ["SparsePoly", "binary_form", "linear_form", "MAX_DEGREE"]
 
 Exponents = tuple[int, ...]
 Terms = dict[int, int]
@@ -79,6 +82,14 @@ def _mul_add(out: Terms, a: Terms, b: Terms, top: int) -> Terms:
 
 def _nonzero(terms: Terms) -> Terms:
     return terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
+
+
+def _powers(t: Terms, k: int, top: int) -> list[Terms]:
+    """t^0, ..., t^k; a zero t (no terms) has none above t^0."""
+    out = [{0: 1}]
+    for _ in range(k):
+        out.append(_nonzero(_mul_add({}, out[-1], t, top)) if t else {})
+    return out
 
 
 class SparsePoly:
@@ -182,10 +193,6 @@ class SparsePoly:
             raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degs)}")
         return degs.pop() if degs else 0
 
-    def key(self) -> tuple:
-        """Hashable canonical form, used to merge identical denominator factors."""
-        return self.content, frozenset(self.terms.items())
-
     def primitive(self) -> tuple[Fraction, SparsePoly]:
         """(content, part) with self = content * part, where part has coprime
         integer coefficients and a positive leading term."""
@@ -286,6 +293,30 @@ class SparsePoly:
         """Replace variable ``v`` by ``value``; ``value`` must not involve ``v``."""
         return self.eps_coefficients(v, value, 1)[0]
 
+    def linear_at(self, v: int, root: SparsePoly) -> tuple[SparsePoly, SparsePoly]:
+        """(c, a) with self = c + a (x_v - root), for self of degree <= 1 in x_v.
+
+        The same as ``eps_coefficients(v, root, 2)``, without a series: for
+        self = A + a x_v, c = A + a root is summed on integer dicts.
+        """
+        if root.degree_in(v) > 0:
+            raise ValueError("root involves the pole variable")
+        n, shift, unit = self.nvars, _BITS * v, _unit(v, self.nvars)
+        at: Terms = {}
+        slope: Terms = {}
+        for e, c in self.terms.items():
+            k = (e >> shift) & MAX_DEGREE
+            if k > 1:
+                raise ValueError(f"polynomial has degree {k} in x{v}, above 1")
+            (slope if k else at)[e - k * unit] = c
+        content = self.content
+        if slope and root.terms:
+            p, q = root.content.as_integer_ratio()
+            at, content = {e: q * c for e, c in at.items()}, content / q
+            s = {e: p * c for e, c in root.terms.items()}
+            at = _nonzero(_mul_add(at, slope, s, _BITS * n))
+        return SparsePoly._make(n, at, content), SparsePoly._make(n, slope, self.content)
+
     def eps_coefficients(self, v: int, root: SparsePoly, m: int) -> list[SparsePoly]:
         """The m coefficients of ``shift_eps`` as polynomials."""
         content, coeffs = self.shift_eps(v, root, m)
@@ -322,12 +353,10 @@ class SparsePoly:
             _check_degree(max((e >> top) + ((e >> shift) & MAX_DEGREE) * (deg_s - 1)
                               for e in self.terms))
         q_pow = [q ** j for j in range(K + 1)]
-        s_pow = [{0: 1}, s]
+        s_pow = _powers(s, K, top)
         for e, c in self.terms.items():
             k = (e >> shift) & MAX_DEGREE
             base = e - k * unit
-            while len(s_pow) <= k:
-                s_pow.append(_nonzero(_mul_add({}, s_pow[-1], s, top)))
             for i in range(min(k, m - 1) + 1):
                 coef = comb(k, i) * c * q_pow[K - k + i]
                 d = out[i]
@@ -404,9 +433,7 @@ def eps_line(c: SparsePoly, a: SparsePoly, e: int, m: int) -> tuple[Fraction, li
     integer (-1)^j C(e+j-1, j) p^j q^(m-1-j) times a'^j c'^(m-1-j)."""
     top = _BITS * c.nvars
     p, q = (a.content / c.content).as_integer_ratio()
-    c_pow, a_pow, coeffs = [{0: 1}], {0: 1}, []
-    while len(c_pow) < m:
-        c_pow.append(_nonzero(_mul_add({}, c_pow[-1], c.terms, top)))
+    c_pow, a_pow, coeffs = _powers(c.terms, m - 1, top), {0: 1}, []
     for j in range(m):
         t = c_pow[m - 1 - j]
         if j and not a.is_constant():
@@ -433,6 +460,23 @@ def eps_coefficient(s: list[Terms], t: list[Terms], j: int, content: Fraction,
                     nvars: int) -> SparsePoly:
     """content times the eps^j coefficient of the product of two eps-series."""
     return SparsePoly._make(nvars, eps_mul(s, t, [j], nvars)[0], content)
+
+
+def binary_form(coeffs: list[int], x: SparsePoly, y: SparsePoly) -> SparsePoly:
+    """sum_i coeffs[i] x^i y^(D-i) for integer coeffs, D = len(coeffs) - 1.
+
+    With r the product of the two contents' denominators, x = X / r and
+    y = Y / r for integer dicts X, Y, so the sum is taken over r^D on dicts.
+    """
+    n, top, D = x.nvars, _BITS * x.nvars, len(coeffs) - 1
+    qx, qy = x.content.denominator, y.content.denominator
+    xp, yp = (_powers({e: r * f.content.numerator * c for e, c in f.terms.items()}, D, top)
+              for f, r in ((x, qy), (y, qx)))
+    out: Terms = {}
+    for i, c in enumerate(coeffs):
+        if c and xp[i] and yp[D - i]:
+            _mul_add(out, {e: c * a for e, a in xp[i].items()}, yp[D - i], top)
+    return SparsePoly._make(n, _nonzero(out), Fraction(1, qx * qy) ** D)
 
 
 def linear_form(coeffs: dict[int, Fraction | int], nvars: int) -> SparsePoly:

@@ -10,8 +10,10 @@ z_{i+1}, the tail factors z_first - z_core and the contracted factor
 w - z_core are linear forms.  Each root is solved from a linear form, so it
 is linear too, and substituting it keeps every factor linear.  At v = root +
 eps a factor therefore reads c + a eps, with c = f(root) and a its x_v
-coefficient.  The factors with c = 0 make the pole; its order m is the sum
-of their multiplicities.  Each other factor enters by the binomial series
+coefficient: its value and slope, which ``SparsePoly.linear_at`` reads off
+without an eps-series.  The factors with c = 0 make the pole; its order m is
+the sum of their multiplicities.  Each other factor enters by the binomial
+series
 
     (c + a eps)^(-e) = sum_j (-1)^j C(e+j-1, j) a^j c^(-e-j) eps^j ,
 
@@ -70,14 +72,15 @@ def _normalized(den) -> tuple[Fraction, tuple[tuple[SparsePoly, int], ...]]:
             scale /= f.constant_value() ** e
             continue
         # the primitive part with a positive leading term is canonical, so
-        # identical factors from different substitution chains merge
-        content, fn = f.primitive()
-        scale /= content ** e
-        k = fn.key()
+        # identical factors from different substitution chains merge on terms
+        if f.content != 1:
+            scale /= f.content ** e
+            f = f.primitive()[1]
+        k = frozenset(f.terms.items())
         if k in merged:
             merged[k][1] += e
         else:
-            merged[k] = [fn, e]
+            merged[k] = [f, e]
     return scale, tuple((f, e) for f, e in merged.values())
 
 
@@ -126,7 +129,7 @@ class RatExpr:
                     continue
                 if deg > 1:
                     raise NonLinearPoleError(f"denominator factor {f!r} is nonlinear in x{v}")
-                c, a = f.eps_coefficients(v, root, 2)
+                c, a = f.linear_at(v, root)
                 if c.is_zero():
                     m += e
                     den.append((a, e))

@@ -4,11 +4,14 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
+from vsc import series
+from vsc.calabi_yau import cy_report, ltilde
 from vsc.chain import residue_chain
 from vsc.elliptic import _graph_integrand, _hang_tails
 from vsc.genus0 import _integrand, e_poly, numerator, w_poly
 from vsc.graphs import sym_factor
 from vsc.hypersurface import Hypersurface, ins_key
+from vsc.pipeline import invert_corrections
 from vsc.poly import SparsePoly, linear_form
 from vsc.ratfun import RatExpr
 from vsc.series import TruncatedSeries
@@ -346,3 +349,34 @@ def p2_genus1(d: int) -> int:
     if e.denominator != 1:
         raise ValueError(f"E_{d} = {e} is not an integer")
     return e.numerator
+
+
+def quintic_gopakumar_vafa(q_cap: int) -> tuple[list[Fraction], list[Fraction]]:
+    """Genus-0 and genus-1 Gopakumar-Vafa numbers n0_d, n1_d of the quintic, d = 1..q_cap.
+
+    Read off the B-model side through the mirror map, as in
+    Candelas-de la Ossa-Green-Parkes (Nucl. Phys. B359, 1991) and BCOV
+    (hep-th/9309140).  The mirror map is t = x + sum_d (Ltilde_1)_d / d q^d;
+    inverting it gives x = t + D(t), and composing with it turns a series in
+    q = e^x into one in Q = e^t.  Then
+
+        5 Ltilde_2 / Ltilde_1        = 5 + sum_d n0_d d^3 Q^d / (1 - Q^d),
+        graph sum - D L / 24, L = 50 = sum_d (n1_d + n0_d / 12) Li_1(Q^d),
+
+    and both are solved degree by degree, over the divisors of d.
+    """
+    report = cy_report(5, q_cap)
+    l1 = report.l1
+    shift = TruncatedSeries(0, q_cap, {(d, ()): l1.coefficient(d) / d
+                                       for d in range(1, q_cap + 1)})
+    D = invert_corrections({1: shift})[1]
+    yukawa, f1 = series.substitute(
+        [(ltilde(5, 2, q_cap) * l1.inverse()).scale(5), report.graph_sum], D, [])
+    f1 = f1 - D.scale(Fraction(Hypersurface(5, 5).genus1_linear_coeff(), 24))
+    n0: list[Fraction] = []
+    g: list[Fraction] = []  # g[d-1] = n1_d + n0_d / 12
+    for d in range(1, q_cap + 1):
+        divisors = [e for e in range(1, d) if d % e == 0]
+        n0.append((yukawa.coefficient(d) - sum(n0[e - 1] * e ** 3 for e in divisors)) / d ** 3)
+        g.append(f1.coefficient(d) - sum(g[e - 1] * Fraction(e, d) for e in divisors))
+    return n0, [gd - n0d / 12 for gd, n0d in zip(g, n0)]

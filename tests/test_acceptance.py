@@ -24,7 +24,7 @@ from vsc.poly import SparsePoly
 from vsc.ratfun import RatExpr
 from vsc.series import TruncatedSeries, substitute
 
-from oracles import p2_genus1, p3_invariant
+from oracles import p2_genus1, p3_invariant, quintic_gopakumar_vafa
 
 
 def _report(name: str, ok: bool):
@@ -146,6 +146,15 @@ def test_quintic_genus_one_identities():
     ok = ok and [r.rhs.coefficient(d) for d in (1, 2, 3)] == identity
     ok = ok and elapsed < 600
     _report(f"quintic loop/log-Ltilde series and identity d<=3 ({elapsed:.1f}s)", ok)
+
+
+def test_quintic_gopakumar_vafa_numbers():
+    # the A-model side of the quintic through d = 5 (Candelas-de la Ossa-Green-Parkes;
+    # BCOV), read off the B-model series through the mirror map
+    n0, n1 = quintic_gopakumar_vafa(5)
+    ok = n0 == [2875, 609250, 317206375, 242467530000, 229305888887625]
+    ok = ok and n1 == [0, 0, 609250, 3721431625, 12129909700200]
+    _report("quintic n0 and n1 through d=5 match Gopakumar-Vafa literature values", ok)
 
 
 # -- property suite ----------------------------------------------------------

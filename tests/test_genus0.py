@@ -18,7 +18,8 @@ from vsc.hypersurface import ins_key
 from vsc.pipeline import _constant_sets, weighted_insertions
 from vsc.poly import SparsePoly, linear_form
 
-from oracles import genus0_direct, poly_mul, poly_pow, subst_zero, uncapped_numerator
+from oracles import (genus0_direct, poly_add, poly_mul, poly_pow, subst_zero,
+                     uncapped_numerator)
 
 F = Fraction
 
@@ -48,6 +49,29 @@ def test_w_poly_basic_identities():
     assert w_poly(4, y, y) == SparsePoly(n, {(0, 3): 4})
     # an endpoint may be a linear form
     assert w_poly(3, x + y, y) == (x + y) * (x + y) + (x + y) * y + y * y
+
+
+@pytest.mark.parametrize("ends", ["variables", "forms", "x zero", "y zero", "both zero"])
+def test_binary_forms_match_explicit_products_and_sums(ends):
+    # e_k and w_p as written in the module docstring, with the Fraction
+    # schoolbook product and sum, on every kind of endpoint an edge can have
+    n = 3
+    x, y = SparsePoly.variable(0, n), SparsePoly.variable(1, n)
+    zero = SparsePoly.zero(n)
+    x, y = {"variables": (x, y),
+            "forms": (linear_form({0: F(2, 3), 2: -1}, n), linear_form({1: F(-5, 2), 2: 3}, n)),
+            "x zero": (zero, y), "y zero": (x, zero), "both zero": (zero, zero)}[ends]
+    one = SparsePoly.constant(1, n)
+    for k in range(1, 7):
+        want = one
+        for j in range(k + 1):
+            want = poly_mul(want, poly_add(x.scale(j), y.scale(k - j)))
+        assert e_poly(k, x, y) == want
+    for p in range(6):
+        want = zero
+        for j in range(p):
+            want = poly_add(want, poly_mul(poly_pow(x, j), poly_pow(y, p - 1 - j)))
+        assert w_poly(p, x, y) == want
 
 
 def _literal_numerator(k, n, scalar, mono, edges, ins_t, loops):

@@ -143,6 +143,41 @@ def _poly_in(draw, n):
     )))
 
 
+def _check_linear_at(p, v, root):
+    c, a = p.linear_at(v, root)
+    assert [c, a] == p.eps_coefficients(v, root, 2)
+    assert c + a * (SparsePoly.variable(v, p.nvars) - root) == p
+
+
+def test_linear_at_cases():
+    x0, x1, x2 = var(0), var(1), var(2)
+    zero = SparsePoly.zero(3)
+    # a polynomial x0 coefficient, a zero root and a root whose content is not an integer
+    for p in (x1 * x0 + x2, (x1 * x0 + x2).scale(F(3, 4)), x0.scale(2) - x1 - x2, x2 + 1, zero):
+        for root in (zero, x2.scale(F(1, 3)) - x1.scale(F(5, 2)), x1 + x2 * x2.scale(F(2, 7))):
+            _check_linear_at(p, 0, root)
+    assert (x1 * x0 + x2).linear_at(0, x2.scale(F(1, 3))) == (x1 * x2.scale(F(1, 3)) + x2, x1)
+    with pytest.raises(ValueError, match="degree 2"):
+        (x0 * x0 + x1).linear_at(0, x1)
+    with pytest.raises(ValueError, match="pole variable"):
+        x0.linear_at(0, x0 + x1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_linear_at_matches_eps_coefficients(data):
+    n = data.draw(st.integers(1, 4))
+    v = data.draw(st.integers(0, n - 1))
+    x = SparsePoly.variable(v, n)
+    p = subst_zero(data.draw(_poly_in(n)), v) + subst_zero(data.draw(_poly_in(n)), v) * x
+    root = subst_zero(data.draw(_poly_in(n)), v)
+    if data.draw(st.booleans()):
+        root = SparsePoly.zero(n)
+    _check_linear_at(p, v, root)
+    with pytest.raises(ValueError):
+        (p + x * x).linear_at(v, root)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_packed_kernel_matches_tuple_oracles(data):
