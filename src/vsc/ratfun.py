@@ -108,10 +108,11 @@ class RatExpr:
     def residue_at(self, v: int, root: SparsePoly, side: dict | None = None) -> RatExpr:
         """Residue in v at v = root; zero when no denominator factor vanishes.
 
-        side keeps what the denominator and root alone decide, for the next
-        numerator over them: side[0] the pole order, the factors that stay and
-        the (c, a, e) of the others; side[m] S, the result's normalized
-        denominator, and S's scalar times the constant that normalizing folds out.
+        side keeps what the denominator and root alone decide, for the other
+        numerators over them at one branch of a chain: side[0] the pole order,
+        the factors that stay and the (c, a, e) of the others; side[m] S, the
+        result's normalized denominator, and S's scalar times the constant that
+        normalizing folds out.
         Raises NonLinearPoleError for a factor of degree above 1 in v.
         """
         n = self.nvars

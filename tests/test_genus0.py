@@ -17,6 +17,7 @@ from vsc.graphs import ClusterStarGraph, PointGraph, StarGraph, graphs_of_degree
 from vsc.hypersurface import ins_key
 from vsc.pipeline import _constant_sets, weighted_insertions
 from vsc.poly import SparsePoly, linear_form
+from vsc.ratfun import RatExpr
 
 from oracles import (genus0_direct, poly_add, poly_mul, poly_pow, subst_zero,
                      uncapped_numerator)
@@ -186,6 +187,8 @@ def test_root_in_var():
     r = root_in_var(g, 1)
     assert r == SparsePoly.variable(2, 3).scale(F(1, 2))
     assert root_in_var(g, 0) is None
+    with pytest.raises(ValueError):
+        root_in_var(g * g, 1)
 
 
 def test_degree_zero_is_classical_pairing():
@@ -258,3 +261,31 @@ def test_branch_count_matches_two_to_the_d_minus_one():
     assert residue_chain(fs, steps, stats=stats) == [622320]
     assert stats.get("leaves", 0) + stats.get("pruned", 0) >= 4
     assert stats.get("leaves", 0) == 4  # all four branches contribute here
+
+
+def test_integrands_walk_the_branches_together():
+    # the genus-0 chain of degree 2 with (a, b) = (0, 0) and its own numerators
+    # of degree 11; the first vanishes to order 2 at x0 = 0, so its true pole
+    # order there is 2, not 4, and its residue at that branch has other
+    # denominator exponents than the rest and must be walked apart from them;
+    # the fourth is zero and walks nowhere
+    n = 3
+    den = [(SparsePoly.variable(0, n), 4), (SparsePoly.variable(2, n), 4)]
+    steps = [(0, None), genus0.midpoint(4, n, 1, 0, 2, den), (2, None)]
+    nums = [SparsePoly(n, terms) for terms in [
+        {(2, 6, 3): 1, (3, 5, 3): -1, (2, 7, 2): 2},
+        {(0, 8, 3): 1, (1, 7, 3): 2, (0, 4, 7): -3},
+        {(0, 9, 2): 1, (2, 6, 3): 1, (0, 10, 1): 5},
+        {},
+        {(0, 11, 0): 2, (3, 6, 2): 1, (1, 6, 4): -1},
+    ]]
+    zero = SparsePoly.zero(n)
+    first = [RatExpr(num, den).residue_at(0, zero).den for num in nums[:3]]
+    assert first[0] != first[1] == first[2]
+    alone, stats_alone = [], {}
+    for num in nums:
+        alone += residue_chain([RatExpr(num, den)], steps, stats=stats_alone)
+    stats = {}
+    together = residue_chain((RatExpr(num, den) for num in nums), steps, stats=stats)
+    assert together == alone and stats == stats_alone
+    assert sum(value != 0 for value in alone) == 4 and stats_alone["pruned"] > 0
