@@ -93,7 +93,7 @@ def dilog_integral(k: int, q_cap: int) -> TruncatedSeries:
     return TruncatedSeries(0, q_cap, terms)
 
 
-def _family_sums(k: int, q_cap: int, families, cache=None, workers: int = 1,
+def _family_sums(k: int, q_cap: int, cache=None, workers: int = 1,
                  chains=()) -> dict[str, TruncatedSeries]:
     """Per-family q-series of graph residue sums, from one graph_values call.
 
@@ -101,10 +101,10 @@ def _family_sums(k: int, q_cap: int, families, cache=None, workers: int = 1,
     """
     _check_cy(k)
     graphs = [(family, g) for d in range(1, q_cap + 1) for g in graphs_of_degree(d)
-              for family in families if isinstance(g, FAMILIES[family])]
+              for family, kind in FAMILIES.items() if isinstance(g, kind)]
     jobs = [*chains, *((g, ()) for _, g in graphs)]
     values = graph_values(k, k, jobs, cache, workers)[len(chains):]
-    terms: dict[str, dict] = {family: {} for family in families}
+    terms: dict[str, dict] = {family: {} for family in FAMILIES}
     for (family, graph), val in zip(graphs, values):
         t = terms[family]
         t[(graph.degree, ())] = t.get((graph.degree, ()), 0) + val
@@ -113,8 +113,8 @@ def _family_sums(k: int, q_cap: int, families, cache=None, workers: int = 1,
 
 def family_series(k: int, q_cap: int, family: str, cache=None,
                   workers: int = 1) -> TruncatedSeries:
-    """Sum of graph residues of one family per degree, as a q-series."""
-    return _family_sums(k, q_cap, (family,), cache, workers)[family]
+    """One family's graph residue sums per degree, out of the sums of all four."""
+    return _family_sums(k, q_cap, cache, workers)[family]
 
 
 def bcov_zinger_series(k: int, q_cap: int) -> TruncatedSeries:
@@ -199,7 +199,7 @@ def cy_report(k: int, q_cap: int, cache=None, workers: int = 1) -> CyReport:
     # genus-0 chains of each Ltilde_m read below land in genus0.memo.
     chains = [(Genus0Chain(d, k - 2 - m, m - 1), ())
               for m in sorted({0, 1, *_loop_weights(k)}) for d in range(1, q_cap + 1)]
-    sums = _family_sums(k, q_cap, tuple(FAMILIES), cache, workers, chains)
+    sums = _family_sums(k, q_cap, cache, workers, chains)
     l0 = ltilde(k, 0, q_cap)
     if l0 != ltilde_zero_closed(k, q_cap):
         raise RuntimeError("Ltilde_0 differs from its closed form")

@@ -129,7 +129,7 @@ def integrand(k: int, lead: SparsePoly, edges, ins_ts, loops: dict[int, int],
     cap = None
     if form is None:
         zero = SparsePoly.zero(lead.nvars)
-        cap = v, sum(e for f, e in den if f.substitute(v, zero).is_zero()) - 1
+        cap = v, sum(e for f, e in den if f.linear_at(v, zero)[0].is_zero()) - 1
     return (RatExpr(num, den) for num in numerator(k, lead, edges, ins_ts, loops, cap))
 
 

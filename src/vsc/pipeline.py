@@ -88,25 +88,19 @@ def mirror_corrections(N: int, k: int, q_cap: int, cache=None,
 def invert_corrections(corrections: dict[int, TruncatedSeries]) -> dict[int, TruncatedSeries]:
     """Corrections D_p with x^p = t^p + D_p(t), from t^p = x^p + C_p(x).
 
-    Needs one series for every coordinate that can appear on the right hand
-    side, so the keys must be exactly 1..N-2.  Iterating D <- -C(t + D)
-    settles one q-order per pass; a final pass checks the fixed point.
+    Every coordinate can appear on the right hand side, so ``substitute``
+    needs the keys to be exactly 1..N-2 and raises ValueError otherwise.
+    Iterating D <- -C(t + D) settles one q-order per pass; a final pass
+    checks the fixed point.
     """
-    sample = next(iter(corrections.values()), None)
-    if sample is None or sorted(corrections) != list(range(1, sample.nblocks + 2)):
-        raise ValueError("inversion needs corrections for p = 1..N-2")
-    nblocks, q_cap = sample.nblocks, sample.q_cap
-    D = {p: TruncatedSeries.zero(nblocks, q_cap) for p in corrections}
-
     def step(cur):
-        blocks = [TruncatedSeries.block(a, nblocks, q_cap) + cur[a + 2]
-                  for a in range(nblocks)]
-        return {p: -s for p, s in zip(corrections, substitute(
-            list(corrections.values()), cur[1], blocks))}
+        return {p: -s for p, s in zip(corrections, substitute(list(corrections.values()), cur))}
 
-    for _ in range(q_cap):
-        D = step(D)
-    if step(D) != D:
+    D = {p: TruncatedSeries.zero(s.nblocks, s.q_cap) for p, s in corrections.items()}
+    new = step(D)
+    for _ in range(D[1].q_cap):
+        D, new = new, step(new)
+    if new != D:
         raise RuntimeError("mirror map inversion did not reach its fixed point")
     return D
 
@@ -169,7 +163,6 @@ def gw_table(N: int, k: int, d_max: int, cache=None, workers: int = 1) -> list[G
     if not 1 <= k < N:
         raise ValueError("need a Fano target, 1 <= k < N")
     X = Hypersurface(N, k)
-    nblocks = N - 3
     q_cap = d_max
     # One planner call evaluates every residue chain of the table: the
     # genus-0 chains of the mirror map and of the N = 5 pair series land in
@@ -179,10 +172,8 @@ def gw_table(N: int, k: int, d_max: int, cache=None, workers: int = 1) -> list[G
               for d, ins in _constant_sets(N, k, q_cap, a, b)]
     f1b, w1_raw = _genus1_b(N, k, q_cap, cache, workers, chains)
     D = invert_corrections(mirror_corrections(N, k, q_cap))
-    blocks = [TruncatedSeries.block(a, nblocks, q_cap) + D[a + 2]
-              for a in range(nblocks)]
     pair = [genus0_pair_series(N, k, q_cap, 1, 1)] if N == 5 else []
-    f1a, *a11 = substitute([f1b, *pair], D[1], blocks)
+    f1a, *a11 = substitute([f1b, *pair], D)
     f1a = f1a - D[1].scale(Fraction(X.genus1_linear_coeff(), 24))
     if N == 5:
         a11 = a11[0] + D[1].scale(k)

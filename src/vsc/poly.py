@@ -289,15 +289,11 @@ class SparsePoly:
 
     # -- expansion around a point ---------------------------------------------
 
-    def substitute(self, v: int, value: SparsePoly) -> SparsePoly:
-        """Replace variable ``v`` by ``value``; ``value`` must not involve ``v``."""
-        return self.eps_coefficients(v, value, 1)[0]
-
     def linear_at(self, v: int, root: SparsePoly) -> tuple[SparsePoly, SparsePoly]:
         """(c, a) with self = c + a (x_v - root), for self of degree <= 1 in x_v.
 
-        The same as ``eps_coefficients(v, root, 2)``, without a series: for
-        self = A + a x_v, c = A + a root is summed on integer dicts.
+        The first two orders of ``shift_eps(v, root, 2)``, without a series:
+        for self = A + a x_v, c = A + a root is summed on integer dicts.
         """
         if root.degree_in(v) > 0:
             raise ValueError("root involves the pole variable")
@@ -317,20 +313,15 @@ class SparsePoly:
             at = _nonzero(_mul_add(at, slope, s, _BITS * n))
         return SparsePoly._make(n, at, content), SparsePoly._make(n, slope, self.content)
 
-    def eps_coefficients(self, v: int, root: SparsePoly, m: int) -> list[SparsePoly]:
-        """The m coefficients of ``shift_eps`` as polynomials."""
-        content, coeffs = self.shift_eps(v, root, m)
-        coeffs += [{}] * (m - len(coeffs))
-        return [SparsePoly._make(self.nvars, d, content) for d in coeffs]
-
     def shift_eps(self, v: int, root: SparsePoly, m: int) -> tuple[Fraction, list[Terms]]:
         """Eps-series (content, dicts) of self(v -> root + eps) up to eps^{m-1}.
 
         Only the orders up to the degree in ``v`` can be nonzero, and only
         they get a dict.  The coefficients do not involve ``v``; ``root``
         must not either.
-        This is the kernel's one expansion around a point: substitution,
-        residues and root solving all read their values from it.
+        This is the kernel's one expansion around a point of a numerator:
+        residues read their values from it, and factors linear in ``v``
+        take the same two orders from ``linear_at``.
         """
         if root.degree_in(v) > 0:
             raise ValueError("root involves the pole variable")

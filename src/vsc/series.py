@@ -11,7 +11,8 @@ its layout.
 
 The q^0 layer may hold block polynomials (mirror maps have none, two-point
 functions do), but exp/log/inverse require the usual normalizations and
-raise otherwise.
+raise otherwise.  ``substitute`` carries series through a change of flat
+coordinates x^p = t^p + D_p(t), the shape of an inverse mirror map.
 """
 
 from __future__ import annotations
@@ -147,38 +148,41 @@ class TruncatedSeries:
         return cls(data["nblocks"], data["q_cap"], terms)
 
 
-def substitute(series: list[TruncatedSeries], q_shift: TruncatedSeries,
-               blocks: list[TruncatedSeries]) -> list[TruncatedSeries]:
-    """Evaluate each series(x) on x^1 = t^1 + A(t), x^a = blocks[a](t).
+def substitute(series: list[TruncatedSeries],
+               shift: dict[int, TruncatedSeries]) -> list[TruncatedSeries]:
+    """Evaluate each series(x) on the coordinate change x^p = t^p + D_p(t).
 
-    q_shift is A, so q_x^d becomes q_t^d exp(A)^d; blocks[a] is the full
-    substituted series for the a-th block variable, linear term included.
-    exp(A), its powers and the block powers are built once for all series.
+    ``shift`` maps p = 1..nblocks+1 to D_p, and nothing else: q = e^{x^1}
+    takes the value q exp(D_1) and block x^a the value x^a + D_{a+2}.  Each
+    variable takes its powers from one table built once for all series, so
+    a term costs one product per variable it involves beyond the first.
     """
-    nblocks, q_cap = q_shift.nblocks, q_shift.q_cap
-    if len(blocks) != nblocks:
-        raise ValueError("need one block series per block variable")
-    for s in (*series, *blocks):
-        q_shift._check(s)
-    exp_shift = q_shift.exp()
-    exp_pows = [TruncatedSeries.constant(1, nblocks, q_cap)]
-    block_pows: list[dict[int, TruncatedSeries]] = [
-        {0: TruncatedSeries.constant(1, nblocks, q_cap)} for _ in blocks]
+    sample = next(iter(shift.values()), None)
+    if sample is None or sorted(shift) != list(range(1, sample.nblocks + 2)):
+        raise ValueError("the shift needs one series for each p = 1..nblocks+1")
+    nblocks, q_cap = sample.nblocks, sample.q_cap
+    for s in (*series, *shift.values()):
+        sample._check(s)
+    one = TruncatedSeries.constant(1, nblocks, q_cap)
+    values = [TruncatedSeries.q_power(1, nblocks, q_cap) * shift[1].exp(),
+              *(TruncatedSeries.block(a, nblocks, q_cap) + shift[a + 2]
+                for a in range(nblocks))]
+    powers = [[one, value] for value in values]
 
-    def bpow(a: int, e: int) -> TruncatedSeries:
-        cache = block_pows[a]
-        if e not in cache:
-            cache[e] = bpow(a, e - 1) * blocks[a]
-        return cache[e]
+    def power(v: int, e: int) -> TruncatedSeries:
+        table = powers[v]
+        while len(table) <= e:
+            table.append(table[-1] * values[v])
+        return table[e]
 
-    out = [TruncatedSeries.zero(nblocks, q_cap) for _ in series]
-    for i, f in enumerate(series):
+    out = []
+    for f in series:
+        total = TruncatedSeries.zero(nblocks, q_cap)
         for (d, exps), c in f.items():
-            while len(exp_pows) <= d:
-                exp_pows.append(exp_pows[-1] * exp_shift)
-            term = TruncatedSeries.q_power(d, nblocks, q_cap) * exp_pows[d]
-            for a, e in enumerate(exps):
+            term = one
+            for v, e in enumerate((d, *exps)):
                 if e:
-                    term = term * bpow(a, e)
-            out[i] = out[i] + term.scale(c)
+                    term = power(v, e) if term is one else term * power(v, e)
+            total = total + term.scale(c)
+        out.append(total)
     return out

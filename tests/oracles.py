@@ -120,11 +120,22 @@ def subst_zero(p: SparsePoly, v: int) -> SparsePoly:
     return SparsePoly(p.nvars, {e: c for e, c in p.items() if not e[v]})
 
 
+def eps_coefficients(p: SparsePoly, v: int, root: SparsePoly, m: int) -> list[SparsePoly]:
+    """The m coefficients of ``p.shift_eps(v, root, m)`` as polynomials.
+
+    Not an oracle: a bridge that lets the kernel tests compare shift_eps,
+    which works on packed integer dicts, with polynomials.
+    """
+    content, coeffs = p.shift_eps(v, root, m)
+    coeffs += [{}] * (m - len(coeffs))
+    return [SparsePoly._make(p.nvars, d, content) for d in coeffs]
+
+
 def poly_substitute(p: SparsePoly, v: int, value: SparsePoly) -> SparsePoly:
     """p with x_v replaced by value, summing each term times a power of value.
 
-    An expansion independent of SparsePoly.shift_eps, which substitute uses,
-    and of the packed product: it multiplies with poly_mul.
+    An expansion independent of SparsePoly.shift_eps and of the packed
+    product: it multiplies with poly_mul.
     """
     if value.degree_in(v) > 0:
         raise ValueError("substitution value involves the substituted variable")
@@ -371,7 +382,7 @@ def quintic_gopakumar_vafa(q_cap: int) -> tuple[list[Fraction], list[Fraction]]:
                                        for d in range(1, q_cap + 1)})
     D = invert_corrections({1: shift})[1]
     yukawa, f1 = series.substitute(
-        [(ltilde(5, 2, q_cap) * l1.inverse()).scale(5), report.graph_sum], D, [])
+        [(ltilde(5, 2, q_cap) * l1.inverse()).scale(5), report.graph_sum], {1: D})
     f1 = f1 - D.scale(Fraction(Hypersurface(5, 5).genus1_linear_coeff(), 24))
     n0: list[Fraction] = []
     g: list[Fraction] = []  # g[d-1] = n1_d + n0_d / 12

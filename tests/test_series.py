@@ -124,18 +124,17 @@ def test_exp_of_sum_is_product():
 def test_substitute_identity():
     s = TruncatedSeries(2, 3, {
         (1, (1, 0)): Fraction(3), (2, (0, 2)): Fraction(-1, 2), (0, (1, 1)): Fraction(7)})
-    shift = TruncatedSeries.zero(2, 3)
-    blocks = [TruncatedSeries.block(a, 2, 3) for a in range(2)]
-    assert substitute([s], shift, blocks)[0] == s
+    shift = {p: TruncatedSeries.zero(2, 3) for p in (1, 2, 3)}
+    assert substitute([s], shift)[0] == s
 
 
 def test_substitute_hand_computed():
     # F = q x substituted on x^1 -> t^1 + 2q and x -> x + 3q:
     # q e^{2q} (x + 3q) = q x + 2q^2 x + 3q^2 + O(q^3)
     F = TruncatedSeries(1, 2, {(1, (1,)): Fraction(1)})
-    shift = TruncatedSeries(1, 2, {(1, (0,)): Fraction(2)})
-    block = TruncatedSeries.block(0, 1, 2) + TruncatedSeries.q_power(1, 1, 2).scale(3)
-    got = substitute([F], shift, [block])[0]
+    shift = {1: TruncatedSeries(1, 2, {(1, (0,)): Fraction(2)}),
+             2: TruncatedSeries.q_power(1, 1, 2).scale(3)}
+    got = substitute([F], shift)[0]
     want = TruncatedSeries(1, 2, {
         (1, (1,)): Fraction(1), (2, (1,)): Fraction(2), (2, (0,)): Fraction(3)})
     assert got == want
@@ -146,12 +145,55 @@ def test_substitute_scalar_exponential_shift():
     cap = 4
     F = TruncatedSeries(0, cap, {(d, ()): Fraction(1, d) for d in range(1, cap + 1)})
     A = TruncatedSeries(0, cap, {(1, ()): Fraction(1)})
-    got = substitute([F], A, [])[0]
+    got = substitute([F], {1: A})[0]
     expect = TruncatedSeries.zero(0, cap)
     for d in range(1, cap + 1):
         expect = expect + (TruncatedSeries.q_power(d, 0, cap) *
                            A.scale(d).exp()).scale(Fraction(1, d))
     assert got == expect
+
+
+def _layered_series(first_degree):
+    # two blocks, q_cap 3, two or three terms at every q-degree from first_degree on
+    layer = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                            min_size=2, max_size=3)
+    return st.lists(layer, min_size=4 - first_degree, max_size=4 - first_degree).map(
+        lambda layers: TruncatedSeries(2, 3, {(d, e): c for d, terms in
+                                              enumerate(layers, first_degree)
+                                              for e, c in terms.items()}))
+
+
+def _literal_substitute(f, shift):
+    # sum c (q exp(D_1))^d prod_a (x^a + D_{a+2})^{e_a}, with exp(D_1) = sum_j D_1^j / j!
+    nblocks, cap = f.nblocks, f.q_cap
+    one = TruncatedSeries.constant(1, nblocks, cap)
+    exp_d1, power = one, one
+    for j in range(1, cap + 1):
+        power = series_mul(power, shift[1].scale(Fraction(1, j)))
+        exp_d1 = series_add(exp_d1, power)
+    values = [series_mul(TruncatedSeries.q_power(1, nblocks, cap), exp_d1)]
+    values += [series_add(TruncatedSeries.block(a, nblocks, cap), shift[a + 2])
+               for a in range(nblocks)]
+    out = TruncatedSeries.zero(nblocks, cap)
+    for (d, exps), c in f.items():
+        term = TruncatedSeries.constant(c, nblocks, cap)
+        for value, e in zip(values, (d, *exps)):
+            for _ in range(e):
+                term = series_mul(term, value)
+        out = series_add(out, term)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_layered_series(0), min_size=2, max_size=3),
+       _layered_series(1), _layered_series(0), _layered_series(1))
+def test_substitute_matches_literal_evaluation(series, d1, d2, d3):
+    shift = {1: d1, 2: d2, 3: d3}
+    assert substitute(series, shift) == [_literal_substitute(f, shift) for f in series]
+    for bad in ({1: d1, 2: d2}, {**shift, 4: d3}, {}):
+        with pytest.raises(ValueError):
+            substitute(series, bad)
 
 
 def test_json_roundtrip():
