@@ -28,8 +28,9 @@ ENV_VAR = "VSC_CACHE"
 # genus0.midpoint).  A change to an integrand that keeps every chain value
 # keeps the schema: numerators capped at the first pole drop terms that no
 # residue reads, a cluster layout written in u = w - z_core instead of w
-# takes the same residue, and residues left unreduced yield the same values,
-# so records stay right.
+# takes the same residue, residues left unreduced yield the same values, and
+# so do stars and clusters taken as products of their tail and cluster-core
+# pieces, so records stay right.
 SCHEMA = 1
 
 _DECIMAL = re.compile(r"-?[0-9]+")

@@ -7,9 +7,9 @@ from math import comb
 from vsc import series
 from vsc.calabi_yau import cy_report, ltilde
 from vsc.chain import residue_chain
-from vsc.elliptic import _graph_integrand, _hang_tails
-from vsc.genus0 import _integrand, e_poly, numerator, w_poly
-from vsc.graphs import sym_factor
+from vsc.elliptic import _hang_tails, _part_integrand
+from vsc.genus0 import _integrand, e_poly, integrand, numerator, w_poly
+from vsc.graphs import ClusterStarGraph, StarGraph, sym_factor
 from vsc.hypersurface import Hypersurface, ins_key
 from vsc.pipeline import invert_corrections
 from vsc.poly import SparsePoly, linear_form
@@ -240,13 +240,69 @@ def _uncapped_product(k, lead, edges, ins_t, loops):
     return acc
 
 
+def whole_graph_integrand(N: int, k: int, graph, ins_ts):
+    """(integrands, steps) of a catalog graph as one chain over all its variables.
+
+    A star is its core z_0 and every tail; a cluster is u = w - z_core, its
+    core and every tail.  The engine factors both into tail and cluster-core
+    pieces and multiplies their insertion series; loops and points are the
+    engine's own chains.
+    """
+    if isinstance(graph, StarGraph):
+        return _whole_star(N, k, graph.sigma, ins_ts)
+    if isinstance(graph, ClusterStarGraph):
+        return _whole_cluster(N, k, graph.f, graph.sigma, ins_ts)
+    return _part_integrand(N, k, graph, ins_ts)
+
+
+def _whole_star(N, k, sigma, ins_ts):
+    X = Hypersurface(N, k)
+    d, l = sum(sigma), len(sigma)
+    n = 1 + d
+    core = 0
+    scalar = sym_factor(sigma) * Fraction(X.top_chern_coeff(), 24) / k ** (d - 1)
+    den = [(SparsePoly.variable(core, n), N + l - 1)]
+    edges, tail_steps = _hang_tails(N, n, core, sigma, den)
+    steps = [(core, None), *tail_steps]
+    lead = SparsePoly(n, {(N - 2,) + (0,) * d: scalar})
+    return integrand(k, lead, edges, ins_ts, {}, den, steps), steps
+
+
+def _whole_cluster(N, k, f, sigma, ins_ts):
+    d, l = f + sum(sigma), len(sigma)
+    n = 2 + sum(sigma)
+    u, core = 0, 1
+    # the cluster vertex has valence l + 1, so its vertex factor carries
+    # (k z_core)^l; the contraction terms -(N-1)/N w^-N and -(N+1)/N z_core^-N
+    # share one denominator, and the layout is written in u = w - z_core
+    scalar = -sym_factor(sigma) * Fraction(k) ** (k * (f - 1) - 1) / (24 * N * k ** (d - f))
+    w = linear_form({u: 1, core: 1}, n)
+    den = [(SparsePoly.variable(u, n), 2), (w, N + 1),
+           (SparsePoly.variable(core, n), l + N * f)]
+    tail_edges, tail_steps = _hang_tails(N, n, core, sigma, den)
+    steps = [(u, None), (core, None), *tail_steps]
+    edges = [(w, core), *tail_edges]
+    tails = (0,) * sum(sigma)
+    w_pow = SparsePoly(n, {(j, N - j) + tails: comb(N, j) for j in range(N + 1)})
+    split = w_pow.scale(N + 1) + SparsePoly(n, {(0, N) + tails: N - 1})
+    lead = split * SparsePoly(n, {(0, k * (f - 1)) + tails: scalar})
+    return integrand(k, lead, edges, ins_ts, {core: f - 1}, den, steps), steps
+
+
+def whole_graph_residue(N: int, k: int, graph, ins_t) -> Fraction:
+    """The value of a (graph, set) job from its whole-graph chain; 0 off the selection rule."""
+    if not Hypersurface(N, k).genus1_selection(graph.degree, dict(ins_t)):
+        return Fraction(0)
+    return residue_chain(*whole_graph_integrand(N, k, graph, [ins_t]))[0]
+
+
 def reduced_graph_residue(N: int, k: int, graph, ins_t) -> Fraction:
-    """graph_residue with the integrand reduced before its chain.
+    """The whole-graph chain value with the integrand reduced before its chain.
 
     The engine hands its integrands to residue_chain unreduced; this is the
     same chain with the trial divisions done first.
     """
-    (f,), steps = _graph_integrand(N, k, graph, [ins_t])
+    (f,), steps = whole_graph_integrand(N, k, graph, [ins_t])
     return residue_chain([f.reduce()], steps)[0]
 
 

@@ -15,7 +15,7 @@ from vsc import genus0
 from vsc.calabi_yau import (alternating_two_point_sum, cy_report,
                             family_series, ltilde_zero_closed)
 from vsc.chain import residue_chain
-from vsc.elliptic import _graph_integrand, elliptic_constant
+from vsc.elliptic import Piece, _part_integrand, elliptic_constant
 from vsc.genus0 import genus0_constant
 from vsc.graphs import ClusterStarGraph, graphs_of_degree
 from vsc.hypersurface import Hypersurface
@@ -24,7 +24,7 @@ from vsc.poly import SparsePoly
 from vsc.ratfun import RatExpr
 from vsc.series import TruncatedSeries, substitute
 
-from oracles import p2_genus1, p3_invariant, quintic_gopakumar_vafa
+from oracles import p2_genus1, p3_invariant, quintic_gopakumar_vafa, whole_graph_integrand
 
 
 def _report(name: str, ok: bool):
@@ -167,8 +167,13 @@ def test_cluster_vanishing_on_calabi_yau():
     for N in (4, 5):
         assert Hypersurface(N, N).genus1_selection(4, {})
         for g in cluster_graphs:
-            (f,), steps = _graph_integrand(N, N, g, [()])
+            (f,), steps = whole_graph_integrand(N, N, g, [()])
             assert not f.is_zero(), g
+            ok = ok and residue_chain([f], steps) == [0]
+        # the engine's cluster cores: nonzero integrands whose chains walk to 0
+        for f_mult in {g.f for g in cluster_graphs}:
+            (f,), steps = _part_integrand(N, N, Piece(f_mult, 0, 0), [()])
+            assert not f.is_zero(), f_mult
             ok = ok and residue_chain([f], steps) == [0]
     _report("cluster residues vanish for N=k, every cluster of degree 4", ok)
 

@@ -9,7 +9,7 @@ import pytest
 
 import vsc
 from vsc.cache import ResidueCache, graph_key
-from vsc.elliptic import _graph_integrand, elliptic_constant, graph_residue
+from vsc.elliptic import _part_integrand, _plan, elliptic_constant, graph_residue, graph_values
 from vsc.graphs import (
     ClusterStarGraph,
     LoopGraph,
@@ -20,7 +20,8 @@ from vsc.graphs import (
 from vsc.hypersurface import ins_key
 from vsc.pipeline import weighted_insertions
 
-from oracles import cluster_by_halves, reduced_graph_residue
+from oracles import (cluster_by_halves, reduced_graph_residue, whole_graph_integrand,
+                     whole_graph_residue)
 
 
 def test_projective_plane_degree_one_graph_values():
@@ -102,23 +103,59 @@ def test_unreduced_integrands_match_reduced_per_graph(N, k, ins_by_degree):
         for graph in graphs_of_degree(d):
             assert graph_residue(N, k, graph, [ins_t])[0] == \
                 reduced_graph_residue(N, k, graph, ins_t), graph
-            (f,), _ = _graph_integrand(N, k, graph, [ins_t])
+            (f,), _ = whole_graph_integrand(N, k, graph, [ins_t])
             cancellable += f.reduce().den != f.den
     assert cancellable  # some integrand does carry a cancellable factor
 
 
 @pytest.mark.parametrize("N, k", [(4, 1), (4, 4), (5, 1), (5, 2), (5, 5)])
 def test_graph_integrands_have_degree_minus_step_count(N, k):
-    # a chain of s residues turns a degree -s integrand into a constant
+    # a chain of s residues turns a degree -s integrand into a constant: the
+    # chains of loops and points, and of every piece a star or cluster reads
     checked = 0
     for d in range(1, 5):
         for ins in weighted_insertions(N, (N - k) * d):
-            for graph in graphs_of_degree(d):
-                (f,), steps = _graph_integrand(N, k, graph, [ins_key(ins)])
-                if not f.is_zero():
-                    assert f.homogeneous_degree() == -len(steps), graph
-                    checked += 1
+            parts = _plan(N, k, [(g, ins_key(ins)) for g in graphs_of_degree(d)])
+            for part, sets in parts.items():
+                for ins_t in sets:
+                    (f,), steps = _part_integrand(N, k, part, [ins_t])
+                    if not f.is_zero():
+                        assert f.homogeneous_degree() == -len(steps), (part, ins_t)
+                        checked += 1
     assert checked
+
+
+def _star_and_cluster_jobs(N, k, dmax):
+    # the (graph, set) jobs of the stars and clusters of gw_table(N, k, dmax),
+    # or of cy_report(k, dmax) when N = k
+    return [(g, ins_key(ins)) for d in range(1, dmax + 1)
+            for ins in weighted_insertions(N, (N - k) * d)
+            for g in graphs_of_degree(d) if isinstance(g, (StarGraph, ClusterStarGraph))]
+
+
+@pytest.mark.parametrize("N, k, dmax", [(5, 1, 3), (5, 2, 3), (5, 3, 3), (4, 1, 4), (4, 2, 4),
+                                        (4, 4, 5), (5, 5, 5)])
+def test_star_and_cluster_values_equal_their_whole_graph_chains(N, k, dmax):
+    # stars and clusters are products of their tail and cluster-core pieces;
+    # each job's value is the chain of its whole graph over all its variables
+    jobs = _star_and_cluster_jobs(N, k, dmax)
+    values = graph_values(N, k, jobs)
+    for job, value in zip(jobs, values, strict=True):
+        assert value == whole_graph_residue(N, k, *job), job
+    nonzero = sum(value != 0 for value in values)
+    if N == k:
+        # every cluster vanishes by the factor N - k, and no star does
+        assert nonzero == sum(isinstance(g, StarGraph) for g, _ in jobs)
+    else:
+        assert nonzero > len(values) // 2
+
+
+@pytest.mark.extended
+def test_extended_star_and_cluster_values_equal_their_whole_graph_chains():
+    jobs = _star_and_cluster_jobs(5, 1, 5)
+    assert len(jobs) == 357
+    for job, value in zip(jobs, graph_values(5, 1, jobs), strict=True):
+        assert value == whole_graph_residue(5, 1, *job), job
 
 
 @pytest.mark.parametrize("N, k", [(4, 1), (4, 4), (5, 1), (5, 2)])
@@ -143,15 +180,14 @@ def test_wrong_degree_integrand_raises_under_optimize():
     script = """
 import sys
 from vsc.chain import residue_chain
-from vsc.elliptic import _graph_integrand
+from vsc.elliptic import Piece, _part_integrand
 from vsc.genus0 import _integrand
-from vsc.graphs import ClusterStarGraph, StarGraph
 from vsc.poly import SparsePoly
 from vsc.ratfun import RatExpr
 if not sys.flags.optimize:
     sys.exit(2)
-for (f,), steps in (_graph_integrand(4, 1, StarGraph((1,)), [((2, 3),)]),
-                    _graph_integrand(4, 1, ClusterStarGraph(1, (1,)), [((2, 6),)]),
+for (f,), steps in (_part_integrand(4, 1, Piece(0, 1, 3), [((2, 3),)]),
+                    _part_integrand(4, 1, Piece(1, 0, 2), [((2, 2),)]),
                     _integrand(4, 1, 2, 2, 2, [((2, 3),)])):
     f = RatExpr(f.num * SparsePoly.variable(0, f.nvars), f.den)
     try:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from vsc import genus0
 from vsc.calabi_yau import _loop_weights
 from vsc.chain import residue_chain, root_in_var
-from vsc.elliptic import _graph_integrand, elliptic_constant
+from vsc.elliptic import _part_integrand, _plan, elliptic_constant
 from vsc.genus0 import _integrand, e_poly, genus0_constant, numerator, w_poly
 from vsc.graphs import ClusterStarGraph, PointGraph, StarGraph, graphs_of_degree
 from vsc.hypersurface import ins_key
@@ -138,16 +138,17 @@ def test_numerator_matches_literal_product(data):
 def _capped_builds(N, k, dmax, families):
     # every genus-0 job (both slot orders) and every graph job of the given
     # families of gw_table(N, k, dmax), or of cy_report(k, dmax) when N = k,
-    # as integrand builders
+    # as integrand builders; a star or cluster job as the pieces it reads
     slots = ([(k - 2 - m, m - 1) for m in sorted({0, 1, *_loop_weights(k)})] if N == k else
              [(N - 2 - p, 0) for p in range(1, N - 1)] + ([(1, 1)] if N == 5 else []))
     builds = [functools.partial(_integrand, N, k, d, *ends, [ins_key(ins)])
               for a, b in slots for d, ins in _constant_sets(N, k, dmax, a, b)
               for ends in ((a, b), (b, a))]
-    for d in range(1, dmax + 1):
-        for ins in weighted_insertions(N, (N - k) * d):
-            builds += [functools.partial(_graph_integrand, N, k, g, [ins_key(ins)])
-                       for g in graphs_of_degree(d) if isinstance(g, families)]
+    jobs = [(g, ins_key(ins)) for d in range(1, dmax + 1)
+            for ins in weighted_insertions(N, (N - k) * d)
+            for g in graphs_of_degree(d) if isinstance(g, families)]
+    builds += [functools.partial(_part_integrand, N, k, part, [ins_t])
+               for part, sets in _plan(N, k, jobs).items() for ins_t in sorted(sets)]
     return builds
 
 

@@ -13,7 +13,7 @@ from vsc.cache import ResidueCache, chain_key
 from vsc.calabi_yau import cy_report
 from vsc.chain import residue_chain
 from vsc.cli import main
-from vsc.elliptic import _graph_integrand, graph_residue, graph_values
+from vsc.elliptic import Piece, _part_integrand, graph_residue, graph_values
 from vsc.genus0 import Genus0Chain, _integrand, chain_residue, genus0_constant
 from vsc.graphs import LoopGraph, PointGraph, StarGraph
 from vsc.pipeline import gw_table
@@ -35,7 +35,8 @@ def empty_memo():
 
 @pytest.fixture
 def chain_builds(monkeypatch):
-    """Names of the integrand builders called during the test, one per chain built."""
+    """Names of the integrand builders called during the test, one per chain built:
+    genus-0 chains, loops, points and the pieces of stars and clusters."""
     built = []
 
     def counting(fn):
@@ -45,8 +46,8 @@ def chain_builds(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(vsc.genus0, "_integrand", counting(vsc.genus0._integrand))
-    monkeypatch.setattr(vsc.elliptic, "_graph_integrand",
-                        counting(vsc.elliptic._graph_integrand))
+    monkeypatch.setattr(vsc.elliptic, "_part_integrand",
+                        counting(vsc.elliptic._part_integrand))
     return built
 
 
@@ -189,9 +190,9 @@ def test_planner_keeps_job_order_and_computes_duplicates_once(monkeypatch, empty
     monkeypatch.setattr(vsc.elliptic, "parallel_map", recording)
     values = graph_values(4, 1, jobs)
     # each distinct job once, one item per part (here one set each), highest
-    # degree first, ties in job order
+    # degree first, ties in job order; the star of one tail is its tail piece
     assert [(item[2], *item[3]) for item in ran] == [
-        jobs[2], jobs[4], jobs[0], jobs[1], jobs[5]]
+        jobs[2], jobs[4], (Piece(0, 1, 3), ((2, 3),)), jobs[1], jobs[5]]
     expected = [chain_residue(4, 1, part, [ins_t])[0] if isinstance(part, Genus0Chain)
                 else graph_residue(4, 1, part, [ins_t])[0] for part, ins_t in jobs]
     assert values == expected
@@ -224,7 +225,7 @@ def _planner_run(monkeypatch, table):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_batched_values_equal_single_set_values(monkeypatch, empty_memo, k):
-    # every pool item of gw_table(5, k, 3), genus-0 chains included: each set
+    # every pool item of gw_table(5, k, 3), genus-0 chains and pieces included: each set
     # rebuilt alone (uncapped, no shared prefix) and walked by its own chain
     items, _ = _planner_run(monkeypatch, lambda: gw_table(5, k, 3))
     monkeypatch.setattr(vsc.genus0, "numerator", uncapped_numerator)
@@ -234,18 +235,19 @@ def test_batched_values_equal_single_set_values(monkeypatch, empty_memo, k):
             if isinstance(part, Genus0Chain):
                 fs, steps = _integrand(N, k, part.degree, part.a, part.b, [ins_t])
             else:
-                fs, steps = _graph_integrand(N, k, part, [ins_t])
+                fs, steps = _part_integrand(N, k, part, [ins_t])
             assert residue_chain(fs, steps) == [value], (part, ins_t)
             values.append(value)
     assert max(len(sets) for (_, _, _, sets), _ in items) >= 5
     assert any(isinstance(part, Genus0Chain) for (_, _, part, _), _ in items)
+    assert any(isinstance(part, Piece) for (_, _, part, _), _ in items)
     assert sum(value != 0 for value in values) > len(values) // 2
 
 
 @pytest.mark.parametrize("table, parts, jobs, leaves, pruned", [
-    (lambda: gw_table(5, 1, 3), 27, 150, 303, 16),
-    (lambda: cy_report(4, 5), 58, 58, 140, 35),
-    (lambda: gw_table(4, 1, 4), 36, 36, 90, 3),
+    (lambda: gw_table(5, 1, 3), 51, 221, 370, 24),
+    (lambda: cy_report(4, 5), 28, 28, 98, 18),
+    (lambda: gw_table(4, 1, 4), 67, 67, 116, 6),
 ], ids=["gw_table(5,1,3)", "cy_report(4,5)", "gw_table(4,1,4)"])
 def test_one_pool_item_per_part(monkeypatch, empty_memo, table, parts, jobs, leaves, pruned):
     # a part carries all its insertion sets; its chain walks the same branches
