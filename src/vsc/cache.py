@@ -26,11 +26,11 @@ ENV_VAR = "VSC_CACHE"
 # elliptic.py or genus0._integrand, or genus0.integrand, the shared builder
 # that assembles every one of them (with genus0.numerator and
 # genus0.midpoint).  A change to an integrand that keeps every chain value
-# keeps the schema: numerators capped at the first pole drop terms that no
-# residue reads, a cluster layout written in u = w - z_core instead of w
-# takes the same residue, residues left unreduced yield the same values, and
-# so do stars and clusters taken as products of their tail and cluster-core
-# pieces, so records stay right.
+# keeps the schema: numerators capped below their opening poles drop terms
+# that no residue reads, and chains and tails taken ends first, a cluster
+# layout in u = w - z_core, residues left unreduced and stars and clusters
+# taken as products of their tail and cluster-core pieces all yield the same
+# values, so records stay right.
 SCHEMA = 1
 
 _DECIMAL = re.compile(r"-?[0-9]+")

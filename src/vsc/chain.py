@@ -5,7 +5,7 @@ form None the residue is taken at 0 only; otherwise form is the variable's
 designated denominator factor, a linear form in the original coordinates,
 and the residue is taken at 0 and at the root of that factor as it looks
 after all preceding substitutions.  Integrand builders hand every chain its
-steps together with the integrand (genus0.integrand).
+steps together with the integrand (genus0.integrand), those at 0 alone first.
 
 Pole order at each point is whatever the vanishing denominator factors say,
 so a designated factor that merged with others or drifted onto 0 is still

@@ -4,9 +4,8 @@ The degree-d constant w(prod_p (O_{h^p})^{m_p})_{1,d} is a sum over the
 graph catalog of degree d.  Every graph carries a rational integrand in its
 own variable layout together with a residue schedule:
 
-  star     core z_0 (residue at 0), then each tail inward-out, interior
-           tail variables at 0 and at the evolved midpoint root, the tail
-           end at 0 only;
+  star     core z_0 and each tail end at 0 only, then the interior tail
+           variables inward-out, at 0 and at the evolved midpoint root;
   loop     cyclic chain, every variable at 0 and at its evolved root;
   cluster  the contracted variable w is written as w = z_0 + u, and u is
            taken at 0 only (the double pole at w = z_0), then the star
@@ -38,8 +37,8 @@ interior vertex and returns its step, and genus0.integrand assembles the
 integrand.  A tail is a path that hangs on the core, a loop is a cycle, a
 cluster core is the edge (u + z_core, core) with a self-loop of weight
 f - 1 on the core, and a point is one vertex with a self-loop of weight d.
-Every chain that opens with a residue at 0 alone (all but loops) builds
-its numerator only below that first pole.
+Every chain but a loop opens with its residues at 0 alone and builds its
+numerator only below those poles, as genus0.integrand caps it.
 
 Insertions with p = 0 kill the constant and each p = 1 insertion multiplies
 it by d; both are applied analytically before the graph sum.
@@ -122,7 +121,7 @@ def _tail_terms(N: int, k: int, piece: Piece, ins_ts: list[InsT]):
     n, core = 1 + piece.length, 0
     den = [(SparsePoly.variable(core, n), _core_order(N, k, piece))]
     edges, tail_steps = _hang_tails(N, n, core, (piece.length,), den)
-    steps = [(core, None), *tail_steps]
+    steps = [(core, None), tail_steps[-1], *tail_steps[:-1]]  # the tail end at 0 first
     return integrand(k, SparsePoly.constant(1, n), edges, ins_ts, {}, den, steps), steps
 
 

@@ -1,7 +1,7 @@
 """Genus-0 virtual structure constants by iterated residues along a chain.
 
 The degree-d constant w(O_{h^a} O_{h^b} | prod_p (O_{h^p})^{m_p})_{0,d} is the
-multiple residue, in ascending order z_0, ..., z_d, of
+multiple residue, over z_0, z_d and then z_1, ..., z_{d-1}, of
 
     z_0^a z_d^b prod_{j=1}^d e_k(z_{j-1}, z_j)
     / prod_{i=1}^{d-1} [ k z_i (2 z_i - z_{i-1} - z_{i+1}) ]
@@ -10,18 +10,20 @@ multiple residue, in ascending order z_0, ..., z_d, of
 
 with e_k(x, y) = prod_{j=0}^k (j x + (k-j) y) and
 w_p(x, y) = sum_{j=0}^{p-1} x^j y^{p-1-j}.  The endpoints z_0, z_d only have
-poles at 0; each interior z_i also at the root of its factor
-(2 z_i - z_{i-1} - z_{i+1}) as evolved by the earlier substitutions.
-A slot value of -1 moves that endpoint power into the denominator.
+poles at 0 and go first (path order z_0, ..., z_d gives the same value); each
+interior z_i also has one at the root of its factor (2 z_i - z_{i-1} - z_{i+1})
+as evolved by the earlier substitutions, which for z_{d-1} is 0.  A slot
+value of -1 moves that endpoint power into the denominator.
 
 Every residue-chain integrand of either genus is described by its layout:
 a leading polynomial (a scaled vertex monomial, for a cluster also its
 contraction factor), edges, self-loop weights, a denominator and residue
-steps (variable, form) as in chain.residue_chain; ``midpoint`` adds an
-interior chain vertex and returns its step.  An edge ends at a variable or
-at a linear form, such as w = z_core + u of a cluster.  ``integrand`` is the
-one assembler of every layout, one integrand per insertion set.  The genus-0
-chain is the path 0, 1, ..., d; elliptic.py describes genus-1 graphs alike.
+steps (variable, form) as in chain.residue_chain, those at 0 alone first;
+``midpoint`` adds an interior chain vertex and returns its step.  An edge
+ends at a variable or at a linear form, such as w = z_core + u of a cluster.
+``integrand`` is the one assembler of every layout, one integrand per
+insertion set.  The genus-0 chain is the path 0, 1, ..., d; elliptic.py
+describes genus-1 graphs alike.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def w_poly(p: int, x: SparsePoly, y: SparsePoly) -> SparsePoly:
 
 
 def numerator(k: int, lead: SparsePoly, edges, ins_ts,
-              loops: dict[int, int], cap: tuple[int, int] | None = None):
+              loops: dict[int, int], caps: dict[int, int] | None = None):
     """Yield lead * prod_{(x,y) in edges} e_k(x, y) * prod_p s_p^{m_p} per set of ins_ts.
 
     An edge endpoint is a variable index or a linear form (a SparsePoly);
@@ -87,14 +89,14 @@ def numerator(k: int, lead: SparsePoly, edges, ins_ts,
     starts from the longest product prefix it shares with the set before it
     (sorted sets share most); only the prefixes the next set reuses are kept.
 
-    With cap = (v, c) the accumulator keeps only the terms of degree <= c in
-    x_v (``SparsePoly.mul_capped``), those of lead included.  Capped as
-    ``integrand`` caps it, a numerator keeps the terms its chain's first
-    residue reads, so the chain value is the same; it stays homogeneous, and
-    if it is 0 the chain is 0.
+    With caps = {v: c, ...} the accumulator keeps only the terms of degree
+    <= c in each x_v (``SparsePoly.mul_capped``), those of lead included.
+    Capped as ``integrand`` caps it, a numerator keeps the terms its chain's
+    opening residues read, so the chain value is the same; it stays
+    homogeneous, and if it is 0 the chain is 0.
     """
     n = lead.nvars
-    mul = SparsePoly.__mul__ if cap is None else (lambda a, b: a.mul_capped(b, *cap))
+    mul = SparsePoly.__mul__ if not caps else (lambda a, b: a.mul_capped(b, caps))
     edges = [tuple(SparsePoly.variable(x, n) if isinstance(x, int) else x for x in edge)
              for edge in edges]
     acc = mul(SparsePoly.constant(1, n), lead)
@@ -119,18 +121,25 @@ def numerator(k: int, lead: SparsePoly, edges, ins_ts,
 
 def integrand(k: int, lead: SparsePoly, edges, ins_ts, loops: dict[int, int],
               den: list[tuple[SparsePoly, int]], steps):
-    """The integrands of a layout, one per insertion set, built only below the first pole.
+    """The integrands of a layout, one per insertion set, built only below the opening poles.
 
-    A chain that opens with a residue at x_v = 0 alone, of order m, reads
-    only the numerator's terms of degree below m in x_v; one that opens with
-    a designated form (a loop) reads every term.
+    A chain opens with its steps at 0 alone (a loop has none).  A residue at
+    x_v = 0 of order m reads only the numerator's terms of degree below m in
+    x_v, so x_v is capped at m - 1 when no earlier opening residue can raise
+    m: when every factor that vanishes at x_v = 0 once the earlier opening
+    variables are 0 is a power of x_v itself.
     """
-    v, form = steps[0]
-    cap = None
-    if form is None:
-        zero = SparsePoly.zero(lead.nvars)
-        cap = v, sum(e for f, e in den if f.linear_at(v, zero)[0].is_zero()) - 1
-    return (RatExpr(num, den) for num in numerator(k, lead, edges, ins_ts, loops, cap))
+    caps, opened = {}, set()
+    for v, form in steps:
+        if form is not None:
+            break
+        opened.add(v)
+        # the linear factors in x_v that vanish at 0 with the opened variables
+        at_zero = [(f, e) for f, e in den if f.degree_in(v) > 0 and
+                   all(f.degree_in(u) <= 0 for u in range(lead.nvars) if u not in opened)]
+        if all(len(f.terms) == 1 for f, _ in at_zero):
+            caps[v] = sum(e for _, e in at_zero) - 1
+    return (RatExpr(num, den) for num in numerator(k, lead, edges, ins_ts, loops, caps))
 
 
 def midpoint(N: int, n: int, v: int, left: int, right: int,
@@ -179,11 +188,11 @@ def chain_residue(N: int, k: int, chain: Genus0Chain, ins_ts) -> list[Fraction]:
 
 
 def _integrand(N, k, d, a, b, ins_ts):
-    """(integrands, steps) of the chain, eliminated in ascending order."""
+    """(integrands, steps) of the chain: both ends at 0 first, then z_1, ..., z_{d-1}."""
     n = d + 1
     den = [(SparsePoly.variable(0, n), N - min(a, 0)),
            (SparsePoly.variable(d, n), N - min(b, 0))]
-    steps = [(0, None), *(midpoint(N, n, i, i - 1, i + 1, den) for i in range(1, d)), (d, None)]
+    steps = [(0, None), (d, None), *(midpoint(N, n, i, i - 1, i + 1, den) for i in range(1, d))]
     mono = (max(a, 0),) + (0,) * (d - 1) + (max(b, 0),)
     edges = [(j - 1, j) for j in range(1, d + 1)]
     lead = SparsePoly(n, {mono: Fraction(1, k ** (d - 1))})

@@ -262,30 +262,37 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def mul_capped(self, other: SparsePoly, v: int, cap: int) -> SparsePoly:
-        """self * other without the terms of degree above ``cap`` in variable ``v``.
+    def mul_capped(self, other: SparsePoly, caps: dict[int, int]) -> SparsePoly:
+        """self * other without the terms of degree above ``caps[v]`` in x_v, for every v.
 
-        Only the pairs of terms within the cap are multiplied.  Dropping terms
-        can leave a common factor, so the result is normalized again.
+        The terms of other are grouped by their degrees in the capped variables
+        (the packed key under a mask), and each such key of self meets only the
+        groups within every cap.  The result is normalized again.
         """
-        n, shift, top = self.nvars, _BITS * v, _BITS * self.nvars
+        top = _BITS * self.nvars
         _check_degree((max(self.terms, default=0) >> top)
                       + (max(other.terms, default=0) >> top))
-        by_deg: list[list[tuple[int, int]]] = [[] for _ in range(cap + 1)]
+        fields = [(_BITS * v, cap) for v, cap in caps.items()]
+        mask = sum(MAX_DEGREE << shift for shift, _ in fields)
+        groups: dict[int, list[tuple[int, int]]] = {}
         for e, c in other.terms.items():
-            if (e >> shift) & MAX_DEGREE <= cap:
-                by_deg[(e >> shift) & MAX_DEGREE].append((e, c))
-        out: dict[int, int] = {}
+            groups.setdefault(e & mask, []).append((e, c))
+        partners: dict[int, list[tuple[int, int]]] = {}  # key of self -> terms of other
+        out: Terms = {}
         get = out.get
         for ea, ca in self.terms.items():
-            da = (ea >> shift) & MAX_DEGREE
-            if da > cap:
-                continue
-            for group in by_deg[:cap + 1 - da]:
-                for eb, cb in group:
-                    e = ea + eb
-                    out[e] = get(e, 0) + ca * cb
-        return SparsePoly._make(n, _nonzero(out), self.content * other.content)
+            if (terms := partners.get(ka := ea & mask)) is None:
+                terms = partners[ka] = []
+                for kb, group in groups.items():
+                    for shift, cap in fields:
+                        if ((ka + kb) >> shift) & MAX_DEGREE > cap:
+                            break
+                    else:
+                        terms += group
+            for eb, cb in terms:
+                e = ea + eb
+                out[e] = get(e, 0) + ca * cb
+        return SparsePoly._make(self.nvars, _nonzero(out), self.content * other.content)
 
     # -- expansion around a point ---------------------------------------------
 

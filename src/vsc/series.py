@@ -74,7 +74,7 @@ class TruncatedSeries:
 
     def _head(self) -> SparsePoly:
         """The block polynomial at q^0: the product with 1, capped at q^0."""
-        return self.poly.mul_capped(SparsePoly.constant(1, self.nblocks + 1), 0, 0)
+        return self.poly.mul_capped(SparsePoly.constant(1, self.nblocks + 1), {0: 0})
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
@@ -93,7 +93,7 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        return self._like(self.poly.mul_capped(other.poly, 0, self.q_cap))
+        return self._like(self.poly.mul_capped(other.poly, {0: self.q_cap}))
 
     __rmul__ = __mul__
 

@@ -8,7 +8,7 @@ from vsc import series
 from vsc.calabi_yau import cy_report, ltilde
 from vsc.chain import residue_chain
 from vsc.elliptic import _hang_tails, _part_integrand
-from vsc.genus0 import _integrand, e_poly, integrand, numerator, w_poly
+from vsc.genus0 import _integrand, e_poly, integrand, midpoint, numerator, w_poly
 from vsc.graphs import ClusterStarGraph, StarGraph, sym_factor
 from vsc.hypersurface import Hypersurface, ins_key
 from vsc.pipeline import invert_corrections
@@ -210,10 +210,10 @@ def genus0_direct(N: int, k: int, d: int, a: int, b: int,
     return residue_chain(*_integrand(N, k, d, a, b, [ins_key(ins)]))[0]
 
 
-def uncapped_numerator(k, lead, edges, ins_ts, loops, cap=None):
-    """genus0.numerator with every term kept, whatever the cap.
+def uncapped_numerator(k, lead, edges, ins_ts, loops, caps=None):
+    """genus0.numerator with every term kept, whatever the caps.
 
-    The engine drops the terms that its chain's first residue does not read
+    The engine drops the terms that its chain's opening residues do not read
     and shares product prefixes between sets; this reference builds the
     whole product of each set alone, edges first.
     """
@@ -238,6 +238,22 @@ def _uncapped_product(k, lead, edges, ins_t, loops):
         for _ in range(m):
             acc = acc * s
     return acc
+
+
+def ascending_chain(N: int, k: int, d: int, a: int, b: int, ins_ts):
+    """(integrands, steps) of a genus-0 chain eliminated in path order z_0, z_1, ..., z_d.
+
+    A different elimination order from the engine's, which takes both ends
+    at 0 first and the interior vertices after them, and caps its numerators
+    in both ends; here every numerator is built whole, one set at a time.
+    """
+    n = d + 1
+    den = [(SparsePoly.variable(0, n), N - min(a, 0)),
+           (SparsePoly.variable(d, n), N - min(b, 0))]
+    steps = [(0, None), *(midpoint(N, n, i, i - 1, i + 1, den) for i in range(1, d)), (d, None)]
+    lead = SparsePoly(n, {(max(a, 0),) + (0,) * (d - 1) + (max(b, 0),): Fraction(1, k ** (d - 1))})
+    edges = [(j - 1, j) for j in range(1, d + 1)]
+    return [RatExpr(_uncapped_product(k, lead, edges, ins_t, {}), den) for ins_t in ins_ts], steps
 
 
 def whole_graph_integrand(N: int, k: int, graph, ins_ts):

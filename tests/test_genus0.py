@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 from vsc import genus0
 from vsc.calabi_yau import _loop_weights
 from vsc.chain import residue_chain, root_in_var
-from vsc.elliptic import _part_integrand, _plan, elliptic_constant
+from vsc.elliptic import Piece, _part_integrand, _plan, elliptic_constant
 from vsc.genus0 import _integrand, e_poly, genus0_constant, numerator, w_poly
-from vsc.graphs import ClusterStarGraph, PointGraph, StarGraph, graphs_of_degree
+from vsc.graphs import ClusterStarGraph, LoopGraph, PointGraph, StarGraph, graphs_of_degree
 from vsc.hypersurface import ins_key
 from vsc.pipeline import _constant_sets, weighted_insertions
 from vsc.poly import SparsePoly, linear_form
 from vsc.ratfun import RatExpr
 
-from oracles import (genus0_direct, poly_add, poly_mul, poly_pow, poly_substitute,
-                     subst_zero, uncapped_numerator)
+from oracles import (ascending_chain, genus0_direct, poly_add, poly_mul, poly_pow,
+                     poly_substitute, subst_zero, uncapped_numerator)
 
 F = Fraction
 
@@ -129,10 +129,12 @@ def test_numerator_matches_literal_product(data):
     lead = SparsePoly(n, {mono: scalar})
     forms = [tuple(x if isinstance(x, int) else linear_form(x, n) for x in e) for e in edges]
     assert list(numerator(k, lead, forms, [ins_t], loops)) == [literal]
-    # capped at degree c in x_v: exactly the literal terms within the cap
-    v, c = data.draw(vertex), data.draw(st.integers(-1, 8))
-    assert list(numerator(k, lead, forms, [ins_t], loops, (v, c))) == \
-        [SparsePoly(n, {e: x for e, x in literal.items() if e[v] <= c})]
+    # capped at degree caps[v] in each x_v, two variables where there are two:
+    # exactly the literal terms within every cap
+    caps = data.draw(st.dictionaries(vertex, st.integers(-1, 8), min_size=min(n, 2), max_size=2))
+    assert list(numerator(k, lead, forms, [ins_t], loops, caps)) == \
+        [SparsePoly(n, {e: x for e, x in literal.items()
+                        if all(e[v] <= c for v, c in caps.items())})]
 
 
 def _capped_builds(N, k, dmax, families):
@@ -158,15 +160,26 @@ def test_capped_numerators_give_the_same_chain_values(monkeypatch):
               for b in _capped_builds(*job, (StarGraph, PointGraph, ClusterStarGraph))]
     builds += _capped_builds(5, 5, 4, (StarGraph, PointGraph))
     capped = [build() for build in builds]
+    both_capped = numerator
+
+    def first_cap_only(k, lead, edges, ins_ts, loops, caps=None):
+        first = dict(list(caps.items())[:1]) if caps else caps
+        return both_capped(k, lead, edges, ins_ts, loops, first)
+
+    monkeypatch.setattr(genus0, "numerator", first_cap_only)
+    first = [build() for build in builds]
     monkeypatch.setattr(genus0, "numerator", uncapped_numerator)
     full = [build() for build in builds]
-    smaller = nonzero = 0
-    for ((f,), steps), ((g,), _) in zip(capped, full):
+    smaller = smaller_than_first = nonzero = 0
+    for ((f,), steps), ((h,), _), ((g,), _) in zip(capped, first, full):
         (value,) = residue_chain([f], steps)
         assert [value] == residue_chain([g], steps)
         smaller += len(f.num.terms) < len(g.num.terms)
+        smaller_than_first += len(f.num.terms) < len(h.num.terms)
         nonzero += value != 0
+    # the second cap, of z_d or of a long tail's end, drops terms the first keeps
     assert smaller > len(builds) // 4 and nonzero > len(builds) // 2
+    assert smaller_than_first > len(builds) // 10
 
 
 @pytest.mark.parametrize("ins, message", [
@@ -255,13 +268,33 @@ def test_descending_order_agrees():
 
 
 def test_branch_count_matches_two_to_the_d_minus_one():
-    fs, steps = _integrand(4, 1, 3, 1, 0, [((2, 9),)])
+    # in path order each of the d - 1 interior vertices branches at 0 and at its root
+    fs, steps = ascending_chain(4, 1, 3, 1, 0, [((2, 9),)])
     assert steps == [(0, None), (1, linear_form({1: 2, 0: -1, 2: -1}, 4)),
                      (2, linear_form({2: 2, 1: -1, 3: -1}, 4)), (3, None)]
     stats = {}
     assert residue_chain(fs, steps, stats=stats) == [622320]
     assert stats.get("leaves", 0) + stats.get("pruned", 0) >= 4
     assert stats.get("leaves", 0) == 4  # all four branches contribute here
+    # the engine takes both ends at 0 first; with z_0 = z_3 = 0 the root of
+    # z_2 falls onto 0 on either branch of z_1, so there are two leaves
+    fs, steps = _integrand(4, 1, 3, 1, 0, [((2, 9),)])
+    stats = {}
+    assert residue_chain(fs, steps, stats=stats) == [622320]
+    assert stats == {"leaves": 2}
+
+
+def test_residues_at_zero_alone_come_before_the_branching_steps():
+    # genus0.integrand caps the numerator only in the opening run of steps at
+    # 0 alone, and taking them first removes their variables before any branch
+    chains = [_integrand(5, 1, d, a, b, [()])[1] for d in range(1, 6) for a, b in [(1, 0), (-1, 2)]]
+    parts = [Piece(0, length, 6) for length in range(1, 6)] + \
+        [Piece(f, 0, 2) for f in range(1, 5)] + \
+        [LoopGraph(d) for d in range(2, 6)] + [PointGraph(d) for d in range(1, 6)]
+    for steps in chains + [_part_integrand(5, 1, part, [()])[1] for part in parts]:
+        at_zero = [form is None for _, form in steps]
+        assert at_zero == sorted(at_zero, reverse=True), steps
+        assert len({v for v, _ in steps}) == len(steps)
 
 
 def test_integrands_walk_the_branches_together():

@@ -16,9 +16,9 @@ from vsc.cli import main
 from vsc.elliptic import Piece, _part_integrand, graph_residue, graph_values
 from vsc.genus0 import Genus0Chain, _integrand, chain_residue, genus0_constant
 from vsc.graphs import LoopGraph, PointGraph, StarGraph
-from vsc.pipeline import gw_table
+from vsc.pipeline import gw_table, mirror_corrections
 
-from oracles import uncapped_numerator
+from oracles import ascending_chain, uncapped_numerator
 
 G1_ARGV = ("g1", "--N", "4", "--k", "1", "--d", "1", "--ins", "2:3")
 
@@ -244,10 +244,54 @@ def test_batched_values_equal_single_set_values(monkeypatch, empty_memo, k):
     assert sum(value != 0 for value in values) > len(values) // 2
 
 
+def _genus0_chains_against_path_order(monkeypatch, table):
+    """The (N, k, chain) of every genus-0 pool item of table(), each of its
+    values checked against the chain eliminated in path order z_0, ..., z_d
+    from whole numerators; returns (chains, values)."""
+    items, _ = _planner_run(monkeypatch, table)
+    chains, values = [], []
+    for (N, k, part, sets), batch in items:
+        if isinstance(part, Genus0Chain):
+            d, ends = part.degree, (part.a, part.b)
+            assert residue_chain(*ascending_chain(N, k, d, *ends, sets)) == batch, (N, k, part)
+            # with both ends at 0 the root of z_{d-1} falls onto 0, so a set
+            # walks at most 2^(d-2) branches, half as many as in path order
+            stats = {}
+            residue_chain(*_integrand(N, k, d, *ends, sets), stats=stats)
+            assert sum(stats.values()) <= len(sets) * 2 ** max(d - 2, 0), (N, k, part)
+            chains.append((N, k, part))
+            values += batch
+    assert sum(value != 0 for value in values) > len(values) // 2
+    return chains, values
+
+
+@pytest.mark.parametrize("table", [
+    lambda: gw_table(5, 1, 3), lambda: gw_table(5, 2, 3), lambda: gw_table(4, 1, 4),
+    lambda: cy_report(4, 5), lambda: cy_report(5, 5),
+], ids=["gw_table(5,1,3)", "gw_table(5,2,3)", "gw_table(4,1,4)", "cy_report(4,5)",
+        "cy_report(5,5)"])
+def test_genus0_chains_equal_their_path_order_chains(monkeypatch, empty_memo, table):
+    # the engine takes both ends at 0 before the interior vertices; path order
+    # is a different elimination order, so this is an independent check
+    chains, _ = _genus0_chains_against_path_order(monkeypatch, table)
+    assert max(chain.degree for _, _, chain in chains) >= 3
+    # Calabi-Yau reports read the slot -1 chain of Ltilde_0
+    assert any(-1 in (chain.a, chain.b) for _, _, chain in chains) == \
+        all(N == k for N, k, _ in chains)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("table", [
+    lambda: gw_table(5, 1, 4), lambda: mirror_corrections(6, 1, 3),
+], ids=["gw_table(5,1,4)", "mirror_corrections(6,1,3)"])
+def test_extended_genus0_chains_equal_their_path_order_chains(monkeypatch, empty_memo, table):
+    _genus0_chains_against_path_order(monkeypatch, table)
+
+
 @pytest.mark.parametrize("table, parts, jobs, leaves, pruned", [
-    (lambda: gw_table(5, 1, 3), 51, 221, 370, 24),
-    (lambda: cy_report(4, 5), 28, 28, 98, 18),
-    (lambda: gw_table(4, 1, 4), 67, 67, 116, 6),
+    (lambda: gw_table(5, 1, 3), 51, 221, 252, 20),
+    (lambda: cy_report(4, 5), 28, 28, 68, 14),
+    (lambda: gw_table(4, 1, 4), 67, 67, 83, 6),
 ], ids=["gw_table(5,1,3)", "cy_report(4,5)", "gw_table(4,1,4)"])
 def test_one_pool_item_per_part(monkeypatch, empty_memo, table, parts, jobs, leaves, pruned):
     # a part carries all its insertion sets; its chain walks the same branches
