@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .chain import residue_chain
 from .hypersurface import Hypersurface, ins_count, ins_key
-from .poly import SparsePoly, binary_form, linear_form
+from .poly import Rows, SparsePoly, binary_form, linear_form
 from .ratfun import RatExpr
 
 __all__ = ["e_poly", "w_poly", "numerator", "integrand", "midpoint", "genus0_constant",
@@ -88,35 +88,40 @@ def numerator(k: int, lead: SparsePoly, edges, ins_ts,
     powers of sparse polynomials", Stud. Appl. Math. 53, 1974).  Each set
     starts from the longest product prefix it shares with the set before it
     (sorted sets share most); only the prefixes the next set reuses are kept.
+    The accumulator, its prefixes and the factors are kept as packed rows
+    (``poly.Rows``), so each product multiplies big integers, and each
+    set's product is unpacked once.
 
-    With caps = {v: c, ...} the accumulator keeps only the terms of degree
-    <= c in each x_v (``SparsePoly.mul_capped``), those of lead included.
-    Capped as ``integrand`` caps it, a numerator keeps the terms its chain's
-    opening residues read, so the chain value is the same; it stays
-    homogeneous, and if it is 0 the chain is 0.
+    With caps = {v: c, ...} a numerator keeps only the terms of degree <= c
+    in each x_v, those of lead included.  Capped as ``integrand`` caps it, a
+    numerator keeps the terms its chain's opening residues read, so the
+    chain value is the same; it stays homogeneous, and if it is 0 the chain
+    is 0.
     """
     n = lead.nvars
-    mul = SparsePoly.__mul__ if not caps else (lambda a, b: a.mul_capped(b, caps))
     edges = [tuple(SparsePoly.variable(x, n) if isinstance(x, int) else x for x in edge)
              for edge in edges]
-    acc = mul(SparsePoly.constant(1, n), lead)
-    for x, y in edges:
-        acc = mul(acc, e_poly(k, x, y))
+    factors = [e_poly(k, x, y) for x, y in edges]
     ends = [(SparsePoly.variable(v, n), c) for v, c in loops.items()]
     s = {p: sum([w_poly(p, x, y) for x, y in edges] + [w_poly(p, x, x).scale(c) for x, c in ends],
                 SparsePoly.zero(n)) for p in {p for ins_t in ins_ts for p, _ in ins_t}}
     seqs = [[p for p, m in ins_t for _ in range(m)] for ins_t in ins_ts]
+    rows = Rows(lead, caps or {}, [[*factors, *(s[p] for p in seq)] for seq in seqs])
+    acc = rows.pack(lead)
+    for f in factors:
+        acc = rows.mul(acc, rows.pack(f))
+    s = {p: rows.pack(f) for p, f in s.items()}
     prefix = [acc]  # prefix[j]: the product of the current set's first j factors
     for seq, after in zip(seqs, [*seqs[1:], []]):
         keep = next((j for j, (p, q) in enumerate(zip(seq, after)) if p != q),
                     min(len(seq), len(after)))
         acc = prefix[-1]
         for j in range(len(prefix), len(seq) + 1):
-            acc = mul(acc, s[seq[j - 1]])
+            acc = rows.mul(acc, s[seq[j - 1]])
             if j <= keep:
                 prefix.append(acc)
         del prefix[keep + 1:]
-        yield acc
+        yield rows.unpack(acc)
 
 
 def integrand(k: int, lead: SparsePoly, edges, ins_ts, loops: dict[int, int],

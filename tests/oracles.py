@@ -221,6 +221,37 @@ def uncapped_numerator(k, lead, edges, ins_ts, loops, caps=None):
         yield _uncapped_product(k, lead, edges, ins_t, loops)
 
 
+def dict_numerator(k, lead, edges, ins_ts, loops, caps=None):
+    """genus0.numerator on term dicts: every product through ``SparsePoly.__mul__``, or
+    ``SparsePoly.mul_capped`` when there are caps.
+
+    The same accumulator as the engine's, with the same factors, factor
+    order and shared prefixes, but no packed rows.
+    """
+    n = lead.nvars
+    mul = SparsePoly.__mul__ if not caps else (lambda a, b: a.mul_capped(b, caps))
+    edges = [tuple(SparsePoly.variable(x, n) if isinstance(x, int) else x for x in edge)
+             for edge in edges]
+    acc = mul(SparsePoly.constant(1, n), lead)
+    for x, y in edges:
+        acc = mul(acc, e_poly(k, x, y))
+    ends = [(SparsePoly.variable(v, n), c) for v, c in loops.items()]
+    s = {p: sum([w_poly(p, x, y) for x, y in edges] + [w_poly(p, x, x).scale(c) for x, c in ends],
+                SparsePoly.zero(n)) for p in {p for ins_t in ins_ts for p, _ in ins_t}}
+    seqs = [[p for p, m in ins_t for _ in range(m)] for ins_t in ins_ts]
+    prefix = [acc]  # prefix[j]: the product of the current set's first j factors
+    for seq, after in zip(seqs, [*seqs[1:], []]):
+        keep = next((j for j, (p, q) in enumerate(zip(seq, after)) if p != q),
+                    min(len(seq), len(after)))
+        acc = prefix[-1]
+        for j in range(len(prefix), len(seq) + 1):
+            acc = mul(acc, s[seq[j - 1]])
+            if j <= keep:
+                prefix.append(acc)
+        del prefix[keep + 1:]
+        yield acc
+
+
 def _uncapped_product(k, lead, edges, ins_t, loops):
     n = lead.nvars
     edges = [tuple(SparsePoly.variable(x, n) if isinstance(x, int) else x for x in edge)

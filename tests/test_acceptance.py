@@ -149,12 +149,15 @@ def test_quintic_genus_one_identities():
 
 
 def test_quintic_gopakumar_vafa_numbers():
-    # the A-model side of the quintic through d = 5 (Candelas-de la Ossa-Green-Parkes;
+    # the A-model side of the quintic through d = 6 (Candelas-de la Ossa-Green-Parkes;
     # BCOV), read off the B-model series through the mirror map
-    n0, n1 = quintic_gopakumar_vafa(5)
-    ok = n0 == [2875, 609250, 317206375, 242467530000, 229305888887625]
-    ok = ok and n1 == [0, 0, 609250, 3721431625, 12129909700200]
-    _report("quintic n0 and n1 through d=5 match Gopakumar-Vafa literature values", ok)
+    n0, n1 = quintic_gopakumar_vafa(6)
+    ok = n0 == [2875, 609250, 317206375, 242467530000, 229305888887625,
+                248249742118022000]
+    ok = ok and n1 == [0, 0, 609250, 3721431625, 12129909700200, 31147299733286500]
+    # Gopakumar-Vafa numbers are integers
+    ok = ok and all(n.denominator == 1 for n in n0 + n1)
+    _report("quintic n0 and n1 through d=6 match Gopakumar-Vafa literature values", ok)
 
 
 # -- property suite ----------------------------------------------------------
@@ -278,16 +281,16 @@ def test_mirror_roundtrip():
 @pytest.mark.extended
 def test_extended_surface_high_degrees():
     t0 = time.monotonic()
-    rows = gw_table(4, 1, 6)
+    rows = gw_table(4, 1, 7)
     elapsed = time.monotonic() - t0
-    ok = [r.n1 for r in rows[3:]] == [225, 87192, 57435240]
+    ok = [r.n1 for r in rows[3:]] == [225, 87192, 57435240, 60478511040]
     ok = ok and [r.n1 for r in rows] == [p2_genus1(r.d) for r in rows]
     ok = ok and [r.w1 for r in rows[3:5]] == \
         [Fraction(-320162385), Fraction(-3123359504298)]
     rows = gw_table(4, 2, 4)
     ok = ok and (rows[3].n1, rows[3].n1_norm, rows[3].w1) == \
         (256, 1, Fraction(-29153744))
-    _report(f"surface tables at d=4..6 (gw_table(4,1,6) {elapsed:.1f}s)", ok)
+    _report(f"surface tables at d=4..7 (gw_table(4,1,7) {elapsed:.1f}s)", ok)
 
 
 HIGH_DEGREE_ROWS = {
@@ -341,6 +344,36 @@ def test_extended_threefold_high_degrees():
     _report("every n0 row of gw_table(5,1,5) matches P^3 WDVV", _n0_matches_p3_wdvv(rows))
 
 
+# n1 of the degree-6 rows of gw_table(5, 1, 6), keyed (m_2, m_3)
+THREEFOLD_D6_N1 = {
+    (0, 12): Fraction(1496, 3),
+    (2, 11): Fraction(-30734, 3),
+    (4, 10): Fraction(-159416),
+    (6, 9): Fraction(-5858452, 3),
+    (8, 8): Fraction(-22370056),
+    (10, 7): Fraction(-250794036),
+    (12, 6): Fraction(-2789164576),
+    (14, 5): Fraction(-30697952032),
+    (16, 4): Fraction(-328598241216),
+    (18, 3): Fraction(-3269840555072),
+    (20, 2): Fraction(-26350041204736),
+    (22, 1): Fraction(-53038066768896),
+    (24, 0): Fraction(4885850743278208),
+}
+
+
+@pytest.mark.extended
+def test_extended_threefold_degree_six():
+    t0 = time.monotonic()
+    rows = gw_table(5, 1, 6)
+    elapsed = time.monotonic() - t0
+    ok = all(r.combo.denominator == 1 for r in rows)
+    ok = ok and {(r.ins.get(2, 0), r.ins.get(3, 0)): r.n1 for r in rows if r.d == 6} == \
+        THREEFOLD_D6_N1
+    _report(f"threefold table rows at d=6, combo integral ({elapsed:.1f}s)", ok)
+    _report("every n0 row of gw_table(5,1,6) matches P^3 WDVV", _n0_matches_p3_wdvv(rows))
+
+
 @pytest.mark.extended
 @pytest.mark.parametrize("k", [7, 8])
 def test_extended_loop_identity_high_degree(k):
@@ -354,4 +387,4 @@ def test_extended_jobs_are_exposed():
               if name.startswith("test_extended_") and callable(fn)
               and any(m.name == "extended" for m in getattr(fn, "pytestmark", []))]
     _report("long-running jobs exposed behind the extended marker",
-            len(marked) == 3)
+            len(marked) == 4)

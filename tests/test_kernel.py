@@ -4,17 +4,21 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vsc.genus0
 from vsc import RatExpr, SparsePoly, linear_form
+from vsc.elliptic import Piece, _part_integrand
+from vsc.genus0 import _integrand
+from vsc.graphs import LoopGraph, PointGraph
 from vsc.ratfun import NonLinearPoleError
 
-from vsc.poly import MAX_DEGREE
+from vsc.poly import MAX_DEGREE, Rows
 
-from oracles import (derivative, eps_coefficients, equals, poly_add, poly_derivative,
-                     poly_divide_exact_linear, poly_mul, poly_substitute, subst_zero,
-                     substitute)
+from oracles import (derivative, dict_numerator, eps_coefficients, equals, poly_add,
+                     poly_derivative, poly_divide_exact_linear, poly_mul, poly_substitute,
+                     subst_zero, substitute)
 
 F = Fraction
 
@@ -213,6 +217,88 @@ def test_packed_kernel_matches_tuple_oracles(data):
     assert poly_divide_exact_linear(fa + 1, f) is None
 
 
+# -- packed rows -----------------------------------------------------------------
+
+
+def _below(p, caps):
+    """p without its terms of degree above caps[v] in x_v."""
+    return SparsePoly(p.nvars, {e: c for e, c in p.items()
+                                if all(e[v] <= cap for v, cap in caps.items())})
+
+
+@st.composite
+def _row_operands(draw):
+    """(a, b, caps): integer polynomials of either sign, some of whose coefficients sit
+    at or next to a power of two, and caps on none, some or all of the variables."""
+    n = draw(st.integers(1, 4))
+    big = 2 ** draw(st.integers(1, 90))
+    coeff = st.one_of(st.integers(-9, 9),
+                      st.sampled_from([big - 1, big, big + 1, 1 - big, -big, -big - 1]))
+
+    def poly(max_size):
+        terms = st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), coeff, max_size=max_size)
+        return draw(terms.map(lambda d: SparsePoly(n, {e: c for e, c in d.items() if c})))
+
+    caps = draw(st.dictionaries(st.integers(0, n - 1), st.integers(-1, 9)))
+    return poly(8), poly(4), caps
+
+
+M = 2 ** 40 - 1  # the extreme slot values below come from coefficients of M
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_operands())
+# the product of a by x0 - x1 has the coefficient -2M = -B, the slot bound itself
+@example((P(2, {(2, 1): M, (1, 2): -M, (3, 0): 1}), P(2, {(1, 0): 1, (0, 1): -1}), {}))
+# by a monomial: B = M = 2^40 - 1 = 2^(W-1) - 1, the largest slot value, with a
+# negative slot below it and caps on the slot variable and its partner
+@example((P(3, {(1, 1, 0): M, (0, 2, 0): -M, (2, 0, 0): 1, (0, 0, 2): -3}),
+          P(3, {(0, 1, 1): 1}), {0: 1, 1: 2}))
+def test_row_product_matches_capped_product(operands):
+    a, b, caps = operands
+    rows = Rows(a, caps, [[b]])
+    assert rows.unpack(rows.mul(rows.pack(a), rows.pack(b))) == _below(a * b, caps)
+    assert rows.unpack(rows.pack(a)) == _below(a, caps)
+
+
+WEIGHT_12 = [((2, 2), (3, 5)), ((2, 4), (3, 4)), ((2, 6), (3, 3)), ((2, 8), (3, 2)),
+             ((2, 10), (3, 1)), ((2, 12),)]
+# (integrand builder, sorted insertion sets) of one pool item of gw_table(5, 1, 3) per layout
+LAYOUTS = {
+    "chain": (lambda sets: _integrand(5, 1, 3, 1, 0, sets),
+              [((2, 1), (3, 2)), ((2, 3), (3, 1)), ((2, 5),)]),
+    "tail piece": (lambda sets: _part_integrand(5, 1, Piece(0, 3, 12), sets), WEIGHT_12),
+    "cluster core": (lambda sets: _part_integrand(5, 1, Piece(2, 0, 2), sets),
+                     [((2, 2),), ((3, 1),)]),
+    "loop": (lambda sets: _part_integrand(5, 1, LoopGraph(3), sets), WEIGHT_12),
+    "point": (lambda sets: _part_integrand(5, 1, PointGraph(3), sets), WEIGHT_12),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_numerator_matches_dict_accumulator(monkeypatch, layout):
+    # the numerators of every layout, with its caps and shared prefixes, equal the
+    # same accumulator on term dicts, term for term; so do those of a lead times
+    # 1 - x0, whose products have integer coefficients of both signs
+    seen = []
+    rows = vsc.genus0.numerator
+
+    def both(k, lead, edges, ins_ts, loops, caps=None):
+        for signed in (lead - lead * SparsePoly.variable(0, lead.nvars), lead):
+            got = list(rows(k, signed, edges, ins_ts, loops, caps))
+            assert got == list(dict_numerator(k, signed, edges, ins_ts, loops, caps))
+        seen.append((caps, got))
+        return iter(got)
+
+    monkeypatch.setattr(vsc.genus0, "numerator", both)
+    build, sets = LAYOUTS[layout]
+    build(sets)
+    [(caps, nums)] = seen
+    assert len(nums) == len(sets) and not any(num.is_zero() for num in nums)
+    # caps on the ends of a chain or a tail, on u of a cluster core, none on a loop
+    assert bool(caps) == (layout != "loop")
+
+
 # -- packed exponent field -----------------------------------------------------
 
 
@@ -226,6 +312,9 @@ def test_packed_field_overflow_raises():
         top * x
     with pytest.raises(ValueError, match=str(MAX_DEGREE)):
         P(2, {(40000, 0): 1}).shift_eps(0, y * y, 1)
+    rows = Rows(top, {}, [[y]])
+    with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+        rows.mul(rows.pack(top), rows.pack(y))
 
 
 def test_constructor_rejects_bad_exponents():
