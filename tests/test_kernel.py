@@ -250,10 +250,10 @@ M = 2 ** 40 - 1  # the extreme slot values below come from coefficients of M
 @given(_row_operands())
 # the product of a by x0 - x1 has the coefficient -2M = -B, the slot bound itself
 @example((P(2, {(2, 1): M, (1, 2): -M, (3, 0): 1}), P(2, {(1, 0): 1, (0, 1): -1}), {}))
-# by a monomial: B = M = 2^40 - 1 = 2^(W-1) - 1, the largest slot value, with a
-# negative slot below it and caps on the slot variable and its partner
+# by a monomial: B = M = 2^40 - 1 = 2^(W-1) - 1, the largest slot value, next to a
+# slot of -M, with caps on every variable, the slot variable and its partner included
 @example((P(3, {(1, 1, 0): M, (0, 2, 0): -M, (2, 0, 0): 1, (0, 0, 2): -3}),
-          P(3, {(0, 1, 1): 1}), {0: 1, 1: 2}))
+          P(3, {(0, 1, 1): 1}), {0: 1, 1: 2, 2: 3}))
 def test_row_product_matches_capped_product(operands):
     a, b, caps = operands
     rows = Rows(a, caps, [[b]])
@@ -281,11 +281,11 @@ def test_numerator_matches_dict_accumulator(monkeypatch, layout):
     # same accumulator on term dicts, term for term; so do those of a lead times
     # 1 - x0, whose products have integer coefficients of both signs
     seen = []
-    rows = vsc.genus0.numerator
+    engine = vsc.genus0.numerator
 
     def both(k, lead, edges, ins_ts, loops, caps=None):
         for signed in (lead - lead * SparsePoly.variable(0, lead.nvars), lead):
-            got = list(rows(k, signed, edges, ins_ts, loops, caps))
+            got = list(engine(k, signed, edges, ins_ts, loops, caps))
             assert got == list(dict_numerator(k, signed, edges, ins_ts, loops, caps))
         seen.append((caps, got))
         return iter(got)
