@@ -344,7 +344,8 @@ def test_extended_threefold_high_degrees():
     _report("every n0 row of gw_table(5,1,5) matches P^3 WDVV", _n0_matches_p3_wdvv(rows))
 
 
-# n1 of the degree-6 rows of gw_table(5, 1, 6), keyed (m_2, m_3)
+# n1 of the degree-6 rows of gw_table(5, 1, 6), keyed (m_2, m_3), as computed with
+# numerators built on term dicts (SparsePoly.mul_capped) rather than packed rows
 THREEFOLD_D6_N1 = {
     (0, 12): Fraction(1496, 3),
     (2, 11): Fraction(-30734, 3),
