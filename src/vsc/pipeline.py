@@ -3,9 +3,9 @@
 B-model generating functions live in flat coordinates x^0 .. x^{N-2}; their
 expansions use q = e^{x^1} and the block variables x^2 .. x^{N-2}.  The
 mirror map t(x) collects two-point constants with an identity endpoint, its
-inverse comes from fixed-point iteration, and composing the genus-1
-potential with the inverse turns virtual structure constants into
-Gromov-Witten invariants.
+inverse comes from fixed-point iteration, one q-order per pass, and
+composing the genus-1 potential with the inverse turns virtual structure
+constants into Gromov-Witten invariants.
 """
 
 from __future__ import annotations
@@ -90,17 +90,21 @@ def invert_corrections(corrections: dict[int, TruncatedSeries]) -> dict[int, Tru
 
     Every coordinate can appear on the right hand side, so ``substitute``
     needs the keys to be exactly 1..N-2 and raises ValueError otherwise.
-    Iterating D <- -C(t + D) settles one q-order per pass; a final pass
-    checks the fixed point.
+    D is the fixed point of D <- -C(t + D).  C has no q^0 part, so the q^j
+    order of C(t + D) involves D only below q^j: D = -C up to q^1, and pass
+    j = 2..q_cap settles q^j from C and D truncated there, the step short of
+    Newton's method (Brent & Kung, J. ACM 25, 1978).  A final pass at full
+    precision checks the fixed point.
     """
-    def step(cur):
-        return {p: -s for p, s in zip(corrections, substitute(list(corrections.values()), cur))}
+    def step(cs, cur):
+        return {p: -s for p, s in zip(corrections, substitute(cs, cur))}
 
-    D = {p: TruncatedSeries.zero(s.nblocks, s.q_cap) for p, s in corrections.items()}
-    new = step(D)
-    for _ in range(D[1].q_cap):
-        D, new = new, step(new)
-    if new != D:
+    cs = list(corrections.values())
+    q_cap = cs[0].q_cap if cs else 0
+    D = {p: -s.truncate(min(q_cap, 1)) for p, s in corrections.items()}
+    for j in range(2, q_cap + 1):
+        D = step([s.truncate(j) for s in cs], {p: s.truncate(j) for p, s in D.items()})
+    if step(cs, D) != D:
         raise RuntimeError("mirror map inversion did not reach its fixed point")
     return D
 

@@ -214,11 +214,15 @@ class SparsePoly:
 
     def homogeneous_degree(self) -> int:
         """Total degree if homogeneous (zero counts as any degree), else raises."""
+        if not self.terms:
+            return 0
         top = _BITS * self.nvars
-        degs = {e >> top for e in self.terms}
-        if len(degs) > 1:
-            raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degs)}")
-        return degs.pop() if degs else 0
+        # keys order by total degree first: the extremes differ iff any two do
+        d = max(self.terms) >> top
+        if min(self.terms) >> top != d:
+            degs = sorted({e >> top for e in self.terms})
+            raise ValueError(f"polynomial is not homogeneous: degrees {degs}")
+        return d
 
     def primitive(self) -> tuple[Fraction, SparsePoly]:
         """(content, part) with self = content * part, where part has coprime

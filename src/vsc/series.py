@@ -72,9 +72,19 @@ class TruncatedSeries:
         if self.nblocks != other.nblocks or self.q_cap != other.q_cap:
             raise ValueError("series shapes differ")
 
+    def truncate(self, q_cap: int) -> "TruncatedSeries":
+        """The series at another q_cap: its product with 1, capped at q^q_cap.
+
+        A cap above self.q_cap drops nothing, so the orders it adds read 0.
+        """
+        out = TruncatedSeries(self.nblocks, q_cap)
+        out.poly = self.poly if q_cap >= self.q_cap else \
+            self.poly.mul_capped(SparsePoly.constant(1, self.nblocks + 1), {0: q_cap})
+        return out
+
     def _head(self) -> SparsePoly:
-        """The block polynomial at q^0: the product with 1, capped at q^0."""
-        return self.poly.mul_capped(SparsePoly.constant(1, self.nblocks + 1), {0: 0})
+        """The block polynomial at q^0."""
+        return self.truncate(0).poly
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)

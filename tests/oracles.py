@@ -73,6 +73,26 @@ def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.nblocks, a.q_cap, out)
 
 
+def full_precision_inversion(corrections: dict[int, TruncatedSeries]) -> dict[int, TruncatedSeries]:
+    """D with x^p = t^p + D_p(t), from t^p = x^p + C_p(x), by q_cap + 1 full passes.
+
+    Iterates D <- -C(t + D) from D = 0 at full precision, each pass settling
+    one more q-order, and checks the fixed point with one more pass.  The
+    reference for pipeline.invert_corrections, which truncates its passes.
+    """
+    def step(cur):
+        return {p: -s for p, s in zip(corrections,
+                                      series.substitute(list(corrections.values()), cur))}
+
+    D = {p: TruncatedSeries.zero(s.nblocks, s.q_cap) for p, s in corrections.items()}
+    new = step(D)
+    for _ in range(D[1].q_cap):
+        D, new = new, step(new)
+    if new != D:
+        raise RuntimeError("mirror map inversion did not reach its fixed point")
+    return D
+
+
 def poly_divide_exact_linear(p: SparsePoly, form: SparsePoly) -> SparsePoly | None:
     """p / form by synthetic division in Fractions, else None.
 

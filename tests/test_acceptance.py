@@ -160,6 +160,19 @@ def test_quintic_gopakumar_vafa_numbers():
     _report("quintic n0 and n1 through d=6 match Gopakumar-Vafa literature values", ok)
 
 
+@pytest.mark.extended
+def test_extended_quintic_high_degrees():
+    # d = 7, 8 of the same tables; this also inverts the mirror map at q_cap 8
+    t0 = time.monotonic()
+    n0, n1 = quintic_gopakumar_vafa(8)
+    elapsed = time.monotonic() - t0
+    ok = n0[6:] == [295091050570845659250, 375632160937476603550000]
+    ok = ok and n1[6:] == [71578406022880761750, 154990541752961568418125]
+    ok = ok and all(n.denominator == 1 for n in n0 + n1)
+    _report(f"quintic n0 and n1 at d=7,8 match Gopakumar-Vafa literature values "
+            f"({elapsed:.1f}s)", ok)
+
+
 # -- property suite ----------------------------------------------------------
 
 def test_cluster_vanishing_on_calabi_yau():
@@ -388,4 +401,4 @@ def test_extended_jobs_are_exposed():
               if name.startswith("test_extended_") and callable(fn)
               and any(m.name == "extended" for m in getattr(fn, "pytestmark", []))]
     _report("long-running jobs exposed behind the extended marker",
-            len(marked) == 4)
+            len(marked) == 5)

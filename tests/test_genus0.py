@@ -323,3 +323,14 @@ def test_integrands_walk_the_branches_together():
     together = residue_chain((RatExpr(num, den) for num in nums), steps, stats=stats)
     assert together == alone and stats == stats_alone
     assert sum(value != 0 for value in alone) == 4 and stats_alone["pruned"] > 0
+
+
+def test_last_residue_needs_one_variable_left():
+    # x0 / (x0 x1) has degree -1, but x1 is still there at the last step; its
+    # residue at x0 = 0 is 0, and a read-off of the content would give 1
+    x0, x1 = SparsePoly.variable(0, 2), SparsePoly.variable(1, 2)
+    with pytest.raises(RuntimeError, match="x0, x1"):
+        residue_chain([RatExpr(x0, [(x0, 1), (x1, 1)])], [(0, None)])
+    # c x0^(E-1) / x0^E reads c off; a point is one such step
+    assert residue_chain([RatExpr(x0.scale(F(-3, 7)) * x0, [(x0, 3)])], [(0, None)]) == \
+        [F(-3, 7)]

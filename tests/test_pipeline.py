@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+import vsc.pipeline
 from vsc.pipeline import (GwRow, _genus1_b, genus0_pair_series, gw_table,
                           invert_corrections, mirror_corrections,
                           weighted_insertions)
 from vsc.series import TruncatedSeries, substitute
+
+from oracles import full_precision_inversion
 
 
 def test_weighted_insertions_small():
@@ -73,6 +76,40 @@ def _roundtrip(N, k, q_cap):
 def test_mirror_roundtrip():
     _roundtrip(4, 1, 3)
     _roundtrip(5, 3, 3)
+
+
+@pytest.mark.parametrize("N, k, q_cap", [
+    *((4, 1, q) for q in range(6)), (5, 1, 3), (5, 2, 3), (6, 1, 3)])
+def test_inversion_equals_full_precision_passes(N, k, q_cap):
+    C = mirror_corrections(N, k, q_cap)
+    assert invert_corrections(C) == full_precision_inversion(C)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("N, k, q_cap", [(5, 1, 5), (6, 1, 4)])
+def test_extended_inversion_equals_full_precision_passes(N, k, q_cap):
+    C = mirror_corrections(N, k, q_cap)
+    assert invert_corrections(C) == full_precision_inversion(C)
+
+
+def test_inversion_checks_its_fixed_point(monkeypatch):
+    # the last substitute call is the full-precision pass that checks the
+    # fixed point; one wrong coefficient in its result must raise
+    C = mirror_corrections(5, 1, 3)
+    caps = []
+    substitute = vsc.pipeline.substitute
+
+    def perturbed(series, shift):
+        caps.append(shift[1].q_cap)
+        out = substitute(series, shift)
+        if len(caps) == 3:
+            out[0] = out[0] + TruncatedSeries.q_power(3, 2, 3)
+        return out
+
+    monkeypatch.setattr(vsc.pipeline, "substitute", perturbed)
+    with pytest.raises(RuntimeError, match="fixed point"):
+        invert_corrections(C)
+    assert caps == [2, 3, 3]  # passes j = 2 and 3, then the check
 
 
 def test_invert_requires_full_coordinate_set():

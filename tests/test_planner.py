@@ -17,6 +17,7 @@ from vsc.elliptic import Piece, _part_integrand, graph_residue, graph_values
 from vsc.genus0 import Genus0Chain, _integrand, chain_residue, genus0_constant
 from vsc.graphs import LoopGraph, PointGraph, StarGraph
 from vsc.pipeline import gw_table, mirror_corrections
+from vsc.ratfun import RatExpr
 
 from oracles import ascending_chain, uncapped_numerator
 
@@ -288,14 +289,24 @@ def test_extended_genus0_chains_equal_their_path_order_chains(monkeypatch, empty
     _genus0_chains_against_path_order(monkeypatch, table)
 
 
-@pytest.mark.parametrize("table, parts, jobs, leaves, pruned", [
-    (lambda: gw_table(5, 1, 3), 51, 221, 252, 20),
-    (lambda: cy_report(4, 5), 28, 28, 68, 14),
-    (lambda: gw_table(4, 1, 4), 67, 67, 83, 6),
+@pytest.mark.parametrize("table, parts, jobs, leaves, pruned, residues", [
+    (lambda: gw_table(5, 1, 3), 51, 221, 252, 20, 398),
+    (lambda: cy_report(4, 5), 28, 28, 68, 14, 139),
+    (lambda: gw_table(4, 1, 4), 67, 67, 83, 6, 127),
 ], ids=["gw_table(5,1,3)", "cy_report(4,5)", "gw_table(4,1,4)"])
-def test_one_pool_item_per_part(monkeypatch, empty_memo, table, parts, jobs, leaves, pruned):
+def test_one_pool_item_per_part(monkeypatch, empty_memo, table, parts, jobs, leaves, pruned,
+                                residues):
     # a part carries all its insertion sets; its chain walks the same branches
-    # per set as a chain per set did
+    # per set as a chain per set did, and reads every leaf off without a residue
+    calls = []
+    residue_at = RatExpr.residue_at
+
+    def counted(self, *args):
+        calls.append(1)
+        return residue_at(self, *args)
+
+    monkeypatch.setattr(RatExpr, "residue_at", counted)
     items, stats = _planner_run(monkeypatch, table)
     assert (len(items), sum(len(item[3]) for item, _ in items)) == (parts, jobs)
     assert stats == {"leaves": leaves, "pruned": pruned}
+    assert len(calls) == residues
