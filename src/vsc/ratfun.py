@@ -36,9 +36,8 @@ truncates S at the true order and gives each c the order e + m - i - 1; a
 numerator vanishing to order m or more gives 0.  So a common factor of
 numerator and denominator never changes a residue, and nothing in a residue
 chain divides: integrands enter it as built and every residue leaves it as
-computed.  A chain eliminates every variable, so at its leaf each
-denominator factor is a constant, which ``RatExpr`` folds into the
-numerator.
+computed.  A chain takes no residue at its last step: there the expression
+is c x_v^(E-1) / x_v^E, and ``chain`` reads c off.
 """
 
 from __future__ import annotations

@@ -79,15 +79,9 @@ def test_mirror_roundtrip():
 
 
 @pytest.mark.parametrize("N, k, q_cap", [
-    *((4, 1, q) for q in range(6)), (5, 1, 3), (5, 2, 3), (6, 1, 3)])
+    *((4, 1, q) for q in range(6)), (5, 1, 3), (5, 2, 3), (6, 1, 3),
+    *(pytest.param(*args, marks=pytest.mark.extended) for args in [(5, 1, 5), (6, 1, 4)])])
 def test_inversion_equals_full_precision_passes(N, k, q_cap):
-    C = mirror_corrections(N, k, q_cap)
-    assert invert_corrections(C) == full_precision_inversion(C)
-
-
-@pytest.mark.extended
-@pytest.mark.parametrize("N, k, q_cap", [(5, 1, 5), (6, 1, 4)])
-def test_extended_inversion_equals_full_precision_passes(N, k, q_cap):
     C = mirror_corrections(N, k, q_cap)
     assert invert_corrections(C) == full_precision_inversion(C)
 
