@@ -196,7 +196,7 @@ def cy_report(k: int, q_cap: int, cache=None, workers: int = 1) -> CyReport:
     """Compute every series entering the genus-1 identities of M_k^k."""
     _check_cy(k)
     # One planner call evaluates every residue chain of the report: the
-    # genus-0 chains of each Ltilde_m read below land in genus0.memo.
+    # genus-0 chains of each Ltilde_m read below land in elliptic.memo.
     chains = [(Genus0Chain(d, k - 2 - m, m - 1), ())
               for m in sorted({0, 1, *_loop_weights(k)}) for d in range(1, q_cap + 1)]
     sums = _family_sums(k, q_cap, cache, workers, chains)

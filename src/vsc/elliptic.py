@@ -45,8 +45,8 @@ it by d; both are applied analytically before the graph sum.
 
 graph_values is the one planner for residue chains of both genera: tables
 and reports hand it their genus-1 graphs together with the genus-0 chains
-their mirror maps read, and it meets the disk cache and the pool for all,
-one pool item per loop, point, chain or piece with all of its insertion
+their mirror maps read, and it meets memo, the disk cache and the pool for
+all, one pool item per loop, point, chain or piece with all of its insertion
 sets; the pieces of a call are shared by all its stars and clusters.
 """
 
@@ -60,7 +60,7 @@ from math import comb, factorial, lcm, prod
 
 from .cache import ResidueCache, chain_key, graph_key
 from .chain import residue_chain
-from .genus0 import Genus0Chain, chain_residue, integrand, memo, midpoint
+from .genus0 import Genus0Chain, chain_residue, integrand, midpoint
 from .graphs import (
     ClusterStarGraph,
     Graph,
@@ -78,6 +78,11 @@ from .poly import SparsePoly, linear_form
 __all__ = ["elliptic_constant", "graph_residue", "graph_values"]
 
 InsT = tuple[tuple[int, int], ...]
+
+# Values of graph_values jobs, keyed (N, k, graph or Genus0Chain, p >= 2
+# insertions): every value it has computed, assembled or read from the disk
+# cache in this process.
+memo: dict[tuple, Fraction] = {}
 
 
 def _hang_tails(N: int, n: int, core: int, sigma: tuple[int, ...], den):
@@ -326,26 +331,24 @@ def graph_values(N: int, k: int, jobs: list[tuple[Graph | Genus0Chain, InsT]],
     """Residue values of (graph or genus-0 chain, p >= 2 insertions) jobs.
 
     The one planner for every residue chain of a table or report: duplicate
-    jobs are evaluated once; genus-0 values come from genus0.memo, then any
-    value from the disk cache.  A missed star or cluster is not a chain of
-    its own but a product of pieces, which it shares with the other stars
-    and clusters of the call.  The misses run in one parallel_map call, one
-    item per part (loop, point, genus-0 chain, or piece at one weight) with
-    all the sets the jobs read of it, sorted so their numerators share
-    prefixes, highest degree first (ties in job order), so the longest
-    chains start first and a whole table shares one pool.  Computed values
-    are written to the cache, one record per job, and genus-0 values also
-    to genus0.memo, read first on the next call.  Values are returned in
-    job order.
+    jobs are evaluated once; a value comes from memo, else from the disk
+    cache.  A missed star or cluster is not a chain of its own but a product
+    of pieces, which it shares with the other stars and clusters of the
+    call.  The misses run in one parallel_map call, one item per part (loop,
+    point, genus-0 chain, or piece at one weight) with all the sets the jobs
+    read of it, sorted so their numerators share prefixes, highest degree
+    first (ties in job order), so the longest chains start first and a whole
+    table shares one pool.  Computed values are written to the cache, one
+    record per job.  Every value returned goes to memo, so a later call in
+    the process reads it there and never from or to the disk.  Values are
+    returned in job order.
     """
-    values: dict[tuple, Fraction | None] = dict.fromkeys(jobs)
+    values = {job: memo.get((N, k, *job)) for job in jobs}
     missed = []
-    for job in values:
-        if isinstance(job[0], Genus0Chain):
-            values[job] = memo.get((N, k, *job))
-        if values[job] is None and cache is not None:
-            values[job] = cache.get(_cache_key(N, k, *job))
-        if values[job] is None:
+    for job, value in values.items():
+        if value is None and cache is not None:
+            value = values[job] = cache.get(_cache_key(N, k, *job))
+        if value is None:
             missed.append(job)
     items = sorted(((N, k, part, sorted(sets)) for part, sets in _plan(N, k, missed).items()),
                    key=lambda item: -item[2].degree)
@@ -362,9 +365,7 @@ def graph_values(N: int, k: int, jobs: list[tuple[Graph | Genus0Chain, InsT]],
             values[job] = _from_pieces(N, k, *job, series)
         if cache is not None:
             cache.put(_cache_key(N, k, *job), values[job])
-    for job, value in values.items():
-        if isinstance(job[0], Genus0Chain):
-            memo[(N, k, *job)] = value
+    memo.update(((N, k, *job), value) for job, value in values.items())
     return [values[job] for job in jobs]
 
 

@@ -37,7 +37,7 @@ from .poly import Rows, SparsePoly, binary_form, linear_form
 from .ratfun import RatExpr
 
 __all__ = ["e_poly", "w_poly", "numerator", "integrand", "midpoint", "genus0_constant",
-           "Genus0Chain", "chain_residue", "memo"]
+           "Genus0Chain", "chain_residue"]
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,6 @@ class Genus0Chain:
     a: int
     b: int
 
-
-# Bare chain values, keyed (N, k, Genus0Chain, p >= 2 insertions).  The
-# planner, elliptic.graph_values, reads it first and fills it with the values
-# it reads from the disk cache or computes on its pool.
-memo: dict[tuple, Fraction] = {}
 
 
 def e_poly(k: int, x: SparsePoly, y: SparsePoly) -> SparsePoly:

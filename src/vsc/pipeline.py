@@ -170,7 +170,7 @@ def gw_table(N: int, k: int, d_max: int, cache=None, workers: int = 1) -> list[G
     q_cap = d_max
     # One planner call evaluates every residue chain of the table: the
     # genus-0 chains of the mirror map and of the N = 5 pair series land in
-    # genus0.memo, where the genus0_constant calls below read them.
+    # elliptic.memo, where the genus0_constant calls below read them.
     slots = [(N - 2 - p, 0) for p in range(1, N - 1)] + ([(1, 1)] if N == 5 else [])
     chains = [(Genus0Chain(d, a, b), ins_key(ins)) for a, b in slots
               for d, ins in _constant_sets(N, k, q_cap, a, b)]

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-from vsc import genus0
 from vsc.calabi_yau import (alternating_two_point_sum, cy_report,
                             family_series, ltilde_zero_closed)
 from vsc.chain import residue_chain
@@ -243,7 +242,7 @@ def test_order_independence():
 def test_residue_chains_never_divide(monkeypatch):
     # residues are taken at their true pole order, so no chain needs to
     # cancel a common factor: with both division routines disabled and the
-    # genus-0 memo empty, every chain still runs and every value still holds
+    # planner memo empty, every chain still runs and every value still holds
     def refuse(*args, **kwargs):
         raise AssertionError("the residue chain divided")
 
@@ -257,16 +256,10 @@ def test_residue_chains_never_divide(monkeypatch):
     monkeypatch.setattr(RatExpr, "reduce", refuse)
     monkeypatch.setattr(SparsePoly, "divide_exact_linear", refuse)
     monkeypatch.setattr(RatExpr, "residue_at", counted)
-    saved = dict(genus0.memo)
-    genus0.memo.clear()
-    try:
-        rows = {(r.d, r.ins.get(2, 0), r.ins.get(3, 0)): (r.n0, r.n1, r.combo, r.w1)
-                for r in gw_table(5, 1, 2)}
-        table_calls = len(calls)
-        identities = cy_report(4, 3).identities()
-    finally:
-        genus0.memo.clear()
-        genus0.memo.update(saved)
+    rows = {(r.d, r.ins.get(2, 0), r.ins.get(3, 0)): (r.n0, r.n1, r.combo, r.w1)
+            for r in gw_table(5, 1, 2)}
+    table_calls = len(calls)
+    identities = cy_report(4, 3).identities()
     assert table_calls > 0 and len(calls) > table_calls, "no chain ran"
     ok = rows == THREEFOLD_D2[1] and bool(identities) and all(identities.values())
     _report("gw_table(5,1,2) and cy_report(4,3) hold with no division", ok)

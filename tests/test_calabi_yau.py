@@ -89,10 +89,11 @@ def test_alternating_sums_invert_ltilde_zero(k):
         assert alternating_two_point_sum(k, d) == -inv.coefficient(d)
 
 
-def test_family_series_uses_cache(tmp_path):
+def test_family_series_uses_cache(tmp_path, empty_memo):
     from vsc.cache import ResidueCache
     cache = ResidueCache(tmp_path / "cy")
     first = family_series(5, 2, "loop", cache=cache)
+    empty_memo.clear()
     # second run must be served from the cache and agree
     assert family_series(5, 2, "loop", cache=cache) == first
     assert first.coefficient(2) == Fraction(-1174875, 4)
@@ -103,11 +104,13 @@ def test_bcov_zinger_series_is_graph_sum():
     assert bcov_zinger_series(5, 2) == r.graph_sum
 
 
-def test_family_series_pool_matches_serial():
-    assert family_series(5, 3, "star", workers=2) == family_series(5, 3, "star")
+def test_family_series_pool_matches_serial(empty_memo):
+    pooled = family_series(5, 3, "star", workers=2)
+    empty_memo.clear()
+    assert pooled == family_series(5, 3, "star")
 
 
-def test_cy_report_runs_on_one_pool(monkeypatch):
+def test_cy_report_runs_on_one_pool(monkeypatch, empty_memo):
     import vsc.parallel
 
     starts = []
@@ -118,7 +121,9 @@ def test_cy_report_runs_on_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(vsc.parallel, "ProcessPoolExecutor", CountingPool)
-    assert cy_report(4, 3, workers=2) == cy_report(4, 3)
+    pooled = cy_report(4, 3, workers=2)
+    empty_memo.clear()
+    assert pooled == cy_report(4, 3)
     assert starts == [2]
 
 

@@ -118,17 +118,19 @@ def test_tsv_and_json_carry_the_same_records(capsys):
             (rec["n0"], rec["n1"], rec["combo"], rec["w"])
 
 
-def test_deterministic_output(capsys):
+def test_deterministic_output(capsys, empty_memo):
     argv = ("gw", "--N", "4", "--k", "2", "--dmax", "2", "--no-cache")
     _, first, _ = run(capsys, *argv)
+    empty_memo.clear()
     _, second, _ = run(capsys, *argv)
     assert first == second
 
 
-def test_cache_dir_round_trip(tmp_path, capsys):
+def test_cache_dir_round_trip(tmp_path, capsys, empty_memo):
     argv = ("g1", "--N", "5", "--k", "5", "--d", "2",
             "--cache-dir", str(tmp_path))
     code1, out1, _ = run(capsys, *argv)
+    empty_memo.clear()
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2

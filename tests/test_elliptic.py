@@ -233,24 +233,26 @@ def test_tail_order_within_star_is_irrelevant():
     assert v1 == v2
 
 
-def test_disk_cache_round_trip(tmp_path):
+def test_disk_cache_round_trip(tmp_path, empty_memo):
     cache = ResidueCache(tmp_path / "cache")
     v1 = elliptic_constant(4, 1, 1, {2: 3}, cache=cache)
     assert cache.hits == 0 and cache.misses == 2
+    empty_memo.clear()
     v2 = elliptic_constant(4, 1, 1, {2: 3}, cache=cache)
     assert v1 == v2 == Fraction(-3, 8)
     assert cache.hits == 2
 
 
-def test_cache_ignores_corrupt_record(tmp_path):
+def test_cache_ignores_corrupt_record(tmp_path, empty_memo):
     cache = ResidueCache(tmp_path)
     elliptic_constant(4, 1, 1, {2: 3}, cache=cache)
+    empty_memo.clear()
     for path in (tmp_path).glob("*.json"):
         path.write_text("{not json")
     assert elliptic_constant(4, 1, 1, {2: 3}, cache=cache) == Fraction(-3, 8)
 
 
-def test_cache_never_serves_another_schema(tmp_path, monkeypatch):
+def test_cache_never_serves_another_schema(tmp_path, monkeypatch, empty_memo):
     import vsc.cache
 
     cache = ResidueCache(tmp_path)
@@ -258,10 +260,12 @@ def test_cache_never_serves_another_schema(tmp_path, monkeypatch):
         cache.put(graph_key(4, 1, 1, graph, "2:3"), Fraction(100))
     # under the schema they were written with, the records are served as is
     assert elliptic_constant(4, 1, 1, {2: 3}, cache=cache) == 200
+    empty_memo.clear()
     monkeypatch.setattr(vsc.cache, "SCHEMA", vsc.cache.SCHEMA + 1)
     hits, misses = cache.hits, cache.misses
     assert elliptic_constant(4, 1, 1, {2: 3}, cache=cache) == Fraction(-3, 8)
     assert (cache.hits, cache.misses) == (hits, misses + 2)
+    empty_memo.clear()
     # the recomputed values were written back under the new schema
     assert elliptic_constant(4, 1, 1, {2: 3}, cache=cache) == Fraction(-3, 8)
     assert cache.hits == hits + 2

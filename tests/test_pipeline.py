@@ -206,7 +206,7 @@ def test_gw_table_validation():
         gw_table(5, 5, 1)
 
 
-def test_gw_table_runs_on_one_pool(monkeypatch):
+def test_gw_table_runs_on_one_pool(monkeypatch, empty_memo):
     import vsc.parallel
 
     starts = []
@@ -217,5 +217,7 @@ def test_gw_table_runs_on_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(vsc.parallel, "ProcessPoolExecutor", CountingPool)
-    assert gw_table(4, 1, 3, workers=2) == gw_table(4, 1, 3)
+    pooled = gw_table(4, 1, 3, workers=2)
+    empty_memo.clear()
+    assert pooled == gw_table(4, 1, 3)
     assert starts == [2]

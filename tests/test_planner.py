@@ -25,16 +25,6 @@ G1_ARGV = ("g1", "--N", "4", "--k", "1", "--d", "1", "--ins", "2:3")
 
 
 @pytest.fixture
-def empty_memo():
-    """An empty genus-0 memo for the test; the previous contents come back after."""
-    saved = dict(vsc.genus0.memo)
-    vsc.genus0.memo.clear()
-    yield vsc.genus0.memo
-    vsc.genus0.memo.clear()
-    vsc.genus0.memo.update(saved)
-
-
-@pytest.fixture
 def chain_builds(monkeypatch):
     """Names of the integrand builders called during the test, one per chain built:
     genus-0 chains, loops, points and the pieces of stars and clusters."""
@@ -174,6 +164,48 @@ def test_genus1_record_of_the_earlier_layout_is_served(tmp_path):
     assert cache.hits == 1
 
 
+def test_memo_serves_before_the_disk(tmp_path):
+    # a value in the memo is neither read from nor written to the disk cache
+    jobs = [(StarGraph((1,)), ((2, 3),)), (PointGraph(1), ((2, 3),)),
+            (Genus0Chain(1, 1, 0), ((2, 3),))]
+    values = graph_values(4, 1, jobs)
+    cache = ResidueCache(tmp_path)
+    assert graph_values(4, 1, jobs, cache) == values
+    assert (cache.hits, cache.misses) == (0, 0)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("table", [
+    lambda: gw_table(5, 1, 3, workers=2), lambda: cy_report(4, 5, workers=2),
+], ids=["gw_table(5,1,3)", "cy_report(4,5)"])
+def test_repeated_call_walks_no_chain(chain_builds, pool_sizes, table):
+    # the first call runs every chain on one pool; the second reads the memo
+    first = table()
+    builds = len(chain_builds)
+    assert pool_sizes == [2]
+    assert table() == first
+    assert len(chain_builds) == builds, "the repeated call built an integrand"
+    assert pool_sizes == [2], "the repeated call opened a pool"
+
+
+@pytest.mark.parametrize("before", [(5, 1, 3), (4, 1, 3)], ids=["same N", "same N-k"])
+def test_table_after_another_equals_the_table_alone(empty_memo, before):
+    # gw_table(4, 1, 3) has the jobs of gw_table(5, 2, 3), graph and set,
+    # as both have N - k = 3; their values differ
+    alone = gw_table(5, 2, 3)
+    empty_memo.clear()
+    gw_table(*before)
+    assert gw_table(5, 2, 3) == alone
+
+
+def test_memo_keys_carry_N_and_k():
+    # on the selection rule a job's set fixes N - k, so only a set off the
+    # rule of one (N, k), valued 0, is on the rule of another with N or k alike
+    star, ins_ts = StarGraph((1,)), [((2, 3),)]
+    assert graph_residue(5, 1, star, ins_ts) == graph_residue(4, 2, star, ins_ts) == [0]
+    assert graph_residue(4, 1, star, ins_ts) == [Fraction(1, 8)]
+
+
 def test_planner_keeps_job_order_and_computes_duplicates_once(monkeypatch, empty_memo):
     star, loop, point = StarGraph((1,)), LoopGraph(2), PointGraph(1)
     low, high = Genus0Chain(1, 1, 0), Genus0Chain(2, 1, 0)
@@ -194,11 +226,13 @@ def test_planner_keeps_job_order_and_computes_duplicates_once(monkeypatch, empty
     # degree first, ties in job order; the star of one tail is its tail piece
     assert [(item[2], *item[3]) for item in ran] == [
         jobs[2], jobs[4], (Piece(0, 1, 3), ((2, 3),)), jobs[1], jobs[5]]
+    # genus-0 values went to the memo that genus0_constant reads
+    assert genus0_constant(4, 1, 2, 1, 0, {2: 6}) == values[4]
+    # the star is assembled again from its pieces, not read from the memo
+    empty_memo.clear()
     expected = [chain_residue(4, 1, part, [ins_t])[0] if isinstance(part, Genus0Chain)
                 else graph_residue(4, 1, part, [ins_t])[0] for part, ins_t in jobs]
     assert values == expected
-    # genus-0 values went to the memo that genus0_constant reads
-    assert genus0_constant(4, 1, 2, 1, 0, {2: 6}) == values[4]
 
 
 def _planner_run(monkeypatch, table):
