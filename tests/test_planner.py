@@ -190,8 +190,8 @@ def test_repeated_call_walks_no_chain(chain_builds, pool_sizes, table):
 
 @pytest.mark.parametrize("before", [(5, 1, 3), (4, 1, 3)], ids=["same N", "same N-k"])
 def test_table_after_another_equals_the_table_alone(empty_memo, before):
-    # gw_table(4, 1, 3) has the jobs of gw_table(5, 2, 3), graph and set,
-    # as both have N - k = 3; their values differ
+    # as both have N - k = 3, gw_table(4, 1, 3) shares many (graph, set)
+    # jobs with gw_table(5, 2, 3), at other values
     alone = gw_table(5, 2, 3)
     empty_memo.clear()
     gw_table(*before)
@@ -199,8 +199,8 @@ def test_table_after_another_equals_the_table_alone(empty_memo, before):
 
 
 def test_memo_keys_carry_N_and_k():
-    # on the selection rule a job's set fixes N - k, so only a set off the
-    # rule of one (N, k), valued 0, is on the rule of another with N or k alike
+    # a set on the selection rule fixes N - k, so two (N, k) alike in N or
+    # in k meet under one (graph, set) only where one of them is off the rule
     star, ins_ts = StarGraph((1,)), [((2, 3),)]
     assert graph_residue(5, 1, star, ins_ts) == graph_residue(4, 2, star, ins_ts) == [0]
     assert graph_residue(4, 1, star, ins_ts) == [Fraction(1, 8)]
