@@ -30,7 +30,8 @@ ENV_VAR = "VSC_CACHE"
 # that no residue reads, and chains and tails taken ends first, a cluster
 # layout in u = w - z_core, residues left unreduced and stars and clusters
 # taken as products of their tail and cluster-core pieces all yield the same
-# values, so records stay right.
+# values, so records stay right; so do tail pieces laid out on genus0.path,
+# which only reorders their denominator factors.
 SCHEMA = 1
 
 _DECIMAL = re.compile(r"-?[0-9]+")

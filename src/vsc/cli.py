@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from .cache import ResidueCache, default_cache_dir
 from .calabi_yau import cy_report
@@ -57,9 +58,15 @@ def _add_cache_args(parser, threads: bool = True):
 
 
 def _cache_from(args) -> ResidueCache | None:
+    """The command's disk cache, its directory made now, so a bad one fails before any chain."""
     if getattr(args, "no_cache", False):
         return None
-    return ResidueCache(args.cache_dir or default_cache_dir())
+    directory = Path(args.cache_dir or default_cache_dir())
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot use cache directory {directory}: {exc.strerror}") from None
+    return ResidueCache(directory)
 
 
 def _cmd_g0(args):

@@ -24,8 +24,9 @@ ins! = prod_p m_p!, a star is
 
     scalar * ins! * [t^ins] prod_i tau_i(t),  tau_i(t) = sum_ins' T_i(ins') t^ins' / ins'!,
 
-where T_i(ins') is the chain of one piece: tail i hung on a bare core,
-with z_0^e in its denominator, at the weight w = sum_p (p - 1) m'_p of ins'.
+where T_i(ins') is the chain of one piece: tail i as the path z_0, ..., z_L
+of a genus-0 chain (genus0.path) with z_0^e, the tail factor z_1 - z_0 and
+z_L^N below, at the weight w = sum_p (p - 1) m'_p of ins'.
 Homogeneity fixes e: the piece must have degree minus its steps, which
 gives e = w - L (N - k) + 2 for a tail of length L.  A cluster has one more factor, the chain of its
 core without tails, with e = k f + w.  A piece with e <= 0 has no pole at
@@ -34,7 +35,7 @@ z_0 = 0 and is 0, so it is never built.
 Each builder only describes its layout and returns (integrand, steps); a
 step is (variable, form) as in chain.residue_chain, genus0.midpoint adds an
 interior vertex and returns its step, and genus0.integrand assembles the
-integrand.  A tail is a path that hangs on the core, a loop is a cycle, a
+integrand.  A tail piece is a genus-0 path, a loop is a cycle, a
 cluster core is the edge (u + z_core, core) with a self-loop of weight
 f - 1 on the core, and a point is one vertex with a self-loop of weight d.
 Every chain but a loop opens with its residues at 0 alone and builds its
@@ -60,7 +61,7 @@ from math import comb, factorial, lcm, prod
 
 from .cache import ResidueCache, chain_key, graph_key
 from .chain import residue_chain
-from .genus0 import Genus0Chain, chain_residue, integrand, midpoint
+from .genus0 import Genus0Chain, chain_residue, integrand, midpoint, path
 from .graphs import (
     ClusterStarGraph,
     Graph,
@@ -85,32 +86,10 @@ InsT = tuple[tuple[int, int], ...]
 memo: dict[tuple, Fraction] = {}
 
 
-def _hang_tails(N: int, n: int, core: int, sigma: tuple[int, ...], den):
-    """Hang one path per part of sigma on the core; returns (edges, steps).
-
-    The tail vertices follow the core in index order.  Each tail adds the
-    factor (first vertex - core) to the denominator, a midpoint and its step
-    for every vertex but its end, which takes z^N and a step at 0 only.
-    """
-    edges: list[tuple[int, int]] = []
-    steps: list[tuple[int, SparsePoly | None]] = []
-    first = core + 1
-    for part in sigma:
-        path = [core, *range(first, first + part)]
-        first += part
-        edges += zip(path, path[1:])
-        den.append((linear_form({path[1]: 1, core: -1}, n), 1))
-        steps += [midpoint(N, n, v, left, right, den)
-                  for left, v, right in zip(path, path[1:], path[2:])]
-        den.append((SparsePoly.variable(path[-1], n), N))
-        steps.append((path[-1], None))
-    return edges, steps
-
-
 @dataclass(frozen=True)
 class Piece:
     """One factor of stars and clusters, at insertion weight w: a tail of the
-    given length hung on a bare core (f = 0), or the contracted core of a
+    given length on its core (f = 0), or the contracted core of a
     cluster of multiplicity f without tails (length = 0)."""
 
     f: int
@@ -123,10 +102,11 @@ class Piece:
 
 
 def _tail_terms(N: int, k: int, piece: Piece, ins_ts: list[InsT]):
-    n, core = 1 + piece.length, 0
-    den = [(SparsePoly.variable(core, n), _core_order(N, k, piece))]
-    edges, tail_steps = _hang_tails(N, n, core, (piece.length,), den)
-    steps = [(core, None), tail_steps[-1], *tail_steps[:-1]]  # the tail end at 0 first
+    length, n = piece.length, 1 + piece.length
+    den: list[tuple[SparsePoly, int]] = []
+    edges, steps = path(N, length, den)
+    den += [(SparsePoly.variable(0, n), _core_order(N, k, piece)),
+            (linear_form({1: 1, 0: -1}, n), 1), (SparsePoly.variable(length, n), N)]
     return integrand(k, SparsePoly.constant(1, n), edges, ins_ts, {}, den, steps), steps
 
 

@@ -22,8 +22,9 @@ steps (variable, form) as in chain.residue_chain, those at 0 alone first;
 ``midpoint`` adds an interior chain vertex and returns its step.  An edge
 ends at a variable or at a linear form, such as w = z_core + u of a cluster.
 ``integrand`` is the one assembler of every layout, one integrand per
-insertion set.  The genus-0 chain is the path 0, 1, ..., d; elliptic.py
-describes genus-1 graphs alike.
+insertion set.  ``path`` lays out the path 0, 1, ..., d: the genus-0 chain
+is that path with its slot powers, a tail piece (elliptic.py) that path with
+its core power and tail factor.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .hypersurface import Hypersurface, ins_count, ins_key
 from .poly import Rows, SparsePoly, binary_form, linear_form
 from .ratfun import RatExpr
 
-__all__ = ["e_poly", "w_poly", "numerator", "integrand", "midpoint", "genus0_constant",
-           "Genus0Chain", "chain_residue"]
+__all__ = ["e_poly", "w_poly", "numerator", "integrand", "midpoint", "path",
+           "genus0_constant", "Genus0Chain", "chain_residue"]
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,8 @@ def genus0_constant(N: int, k: int, d: int, a: int, b: int,
     X = Hypersurface(N, k)
     if d < 0:
         raise ValueError("need d >= 0")
-    if a < -1 or b < -1:
-        raise ValueError("slot powers must be >= -1")
+    if not (-1 <= a <= N - 2 and -1 <= b <= N - 2):
+        raise ValueError("slot powers must lie in -1..N-2")
     mult, rest = X.split_insertions(d, ins)
     if d == 0:
         if ins_count(ins) != 1:
@@ -187,13 +188,21 @@ def chain_residue(N: int, k: int, chain: Genus0Chain, ins_ts) -> list[Fraction]:
     return residue_chain(*_integrand(N, k, chain.degree, chain.a, chain.b, ins_ts))
 
 
+def path(N: int, d: int, den: list[tuple[SparsePoly, int]]):
+    """(edges, steps) of the path 0, 1, ..., d: both ends at 0, then z_1, ..., z_{d-1}.
+
+    Each interior vertex adds its piece to den through midpoint; the caller
+    adds the powers of the two ends."""
+    steps = [(0, None), (d, None), *(midpoint(N, d + 1, i, i - 1, i + 1, den) for i in range(1, d))]
+    return [(j - 1, j) for j in range(1, d + 1)], steps
+
+
 def _integrand(N, k, d, a, b, ins_ts):
-    """(integrands, steps) of the chain: both ends at 0 first, then z_1, ..., z_{d-1}."""
+    """(integrands, steps) of the chain of slots a, b on the path of degree d."""
     n = d + 1
     den = [(SparsePoly.variable(0, n), N - min(a, 0)),
            (SparsePoly.variable(d, n), N - min(b, 0))]
-    steps = [(0, None), (d, None), *(midpoint(N, n, i, i - 1, i + 1, den) for i in range(1, d))]
+    edges, steps = path(N, d, den)
     mono = (max(a, 0),) + (0,) * (d - 1) + (max(b, 0),)
-    edges = [(j - 1, j) for j in range(1, d + 1)]
     lead = SparsePoly(n, {mono: Fraction(1, k ** (d - 1))})
     return integrand(k, lead, edges, ins_ts, {}, den, steps), steps

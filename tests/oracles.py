@@ -7,7 +7,7 @@ from math import comb
 from vsc import series
 from vsc.calabi_yau import cy_report, ltilde
 from vsc.chain import residue_chain
-from vsc.elliptic import _hang_tails, _part_integrand
+from vsc.elliptic import _part_integrand
 from vsc.genus0 import _integrand, e_poly, integrand, midpoint, numerator, w_poly
 from vsc.graphs import ClusterStarGraph, StarGraph, sym_factor
 from vsc.hypersurface import Hypersurface, ins_key
@@ -320,6 +320,29 @@ def whole_graph_integrand(N: int, k: int, graph, ins_ts):
     if isinstance(graph, ClusterStarGraph):
         return _whole_cluster(N, k, graph.f, graph.sigma, ins_ts)
     return _part_integrand(N, k, graph, ins_ts)
+
+
+def _hang_tails(N, n, core, sigma, den):
+    """Hang one path per part of sigma on the core; returns (edges, steps).
+
+    The tail vertices follow the core in index order.  Each tail adds the
+    factor (first vertex - core) to the denominator, and its vertices are
+    taken from the core outwards: a midpoint and its step for every vertex
+    but the end, which takes z^N and a step at 0 only.  The engine builds
+    each tail on its own as a genus-0 path, ends first.
+    """
+    edges, steps = [], []
+    first = core + 1
+    for part in sigma:
+        tail = [core, *range(first, first + part)]
+        first += part
+        edges += zip(tail, tail[1:])
+        den.append((linear_form({tail[1]: 1, core: -1}, n), 1))
+        steps += [midpoint(N, n, v, left, right, den)
+                  for left, v, right in zip(tail, tail[1:], tail[2:])]
+        den.append((SparsePoly.variable(tail[-1], n), N))
+        steps.append((tail[-1], None))
+    return edges, steps
 
 
 def _whole_star(N, k, sigma, ins_ts):

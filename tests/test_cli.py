@@ -89,6 +89,15 @@ def test_validation_exit_code(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("d, a, b", [(1, 3, 0), (1, 0, 3), (0, 3, -1), (1, -2, 0)])
+def test_g0_slot_powers_lie_in_minus_one_to_N_minus_2(capsys, d, a, b):
+    # (1, 3, 0) with a 2-insertion passes the selection rule of N = 4, k = 1
+    code, out, err = run(capsys, "g0", "--N", "4", "--k", "1", "--d", str(d), "--a", str(a),
+                         "--b", str(b), "--ins", "2:1", "--no-cache")
+    assert (code, out) == (2, "")
+    assert "slot powers must lie in -1..N-2" in err
+
+
 def test_bcov_rejects_k_below_three(capsys):
     code, _, err = run(capsys, "bcov", "--k", "2", "--dmax", "1", "--no-cache")
     assert code == 2

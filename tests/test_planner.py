@@ -138,6 +138,23 @@ def test_g0_and_mirror_go_through_the_cache(tmp_path, capsys, empty_memo, chain_
     assert len(chain_builds) == cold_builds, "the warm run evaluated a chain"
 
 
+@pytest.mark.parametrize("argv", [
+    ("g0", "--N", "4", "--k", "1", "--d", "2", "--a", "1", "--b", "0", "--ins", "2:6"),
+    G1_ARGV,
+    ("mirror", "--N", "5", "--k", "1", "--qcap", "3"),
+    ("gw", "--N", "4", "--k", "1", "--dmax", "2", "--threads", "1"),
+    ("bcov", "--k", "4", "--dmax", "3"),
+], ids=["g0", "g1", "mirror", "gw", "bcov"])
+def test_unusable_cache_dir_fails_before_any_chain(tmp_path, capsys, chain_builds, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main([*argv, "--cache-dir", str(blocker / "sub")])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert str(blocker / "sub") in err
+    assert chain_builds == []
+
+
 def test_genus0_record_of_another_schema_is_a_miss(tmp_path, monkeypatch, empty_memo):
     cache = ResidueCache(tmp_path)
     job = (Genus0Chain(2, 1, 0), ((2, 6),))

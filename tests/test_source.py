@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "vsc"
 
 
@@ -71,3 +73,46 @@ def test_benchmark_tracer_installs():
     wanted = "calabi_yau chain elliptic genus0 parallel pipeline poly ratfun series".split()
     assert set(wanted) <= set(out["layers"]), out["layers"]
     assert out["leaves"] > 0
+
+
+LAYERS_SCRIPT = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import tracer
+t = tracer.install()
+import vsc.calabi_yau, vsc.cli, vsc.pipeline
+workload = sys.argv[3]
+if workload == "fano_threefold":
+    vsc.pipeline.gw_table(5, 1, 3, cache=None, workers=1)
+elif workload == "cy_k3_d5":
+    vsc.calabi_yau.cy_report(4, 5, cache=None, workers=1).identities()
+elif vsc.cli.main(["gw", "--N", "4", "--k", "1", "--dmax", "4", "--threads", "2",
+                   "--cache-dir", sys.argv[4]]):
+    sys.exit("vsc gw failed")
+print(json.dumps(sorted({name.split(".")[0] for _, name, calls, *_ in t.report()["edges"]
+                         if calls})))
+"""
+
+
+def benchmark_expected_layers() -> dict:
+    """EXPECTED_LAYERS of perfbench/run.py, read from its source without importing it."""
+    tree = ast.parse((SRC.parents[1] / "perfbench" / "run.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "EXPECTED_LAYERS"
+                        for t in node.targets))
+
+
+@pytest.mark.parametrize("workload", ["fano_threefold", "cy_k3_d5", "cli_cache"])
+def test_benchmark_workload_layers_fire(tmp_path, workload):
+    # the traced benchmark run fails its self-check when an expected layer
+    # no longer fires, say after a change of who calls genus0_constant; the
+    # same workload under the same tracer must show it here first
+    root = SRC.parents[1]
+    proc = subprocess.run([sys.executable, "-c", LAYERS_SCRIPT, str(root / "perfbench"),
+                           str(root / "src"), workload, str(tmp_path / "cache")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    fired = json.loads(proc.stdout.splitlines()[-1])
+    missing = set(benchmark_expected_layers()[workload]) - set(fired)
+    assert not missing, f"layers that did not fire: {sorted(missing)}"
