@@ -29,7 +29,8 @@ whose eps^j coefficient is the scalar times dict j; residues are computed on
 them by ``shift_eps``, ``eps_line``, ``eps_mul`` and ``eps_coefficient``.
 A factor linear in x_v needs no series: ``linear_at`` gives its value and
 slope at a root.  ``binary_form`` sums integer multiples of x^i y^(D-i), the
-edge factors of a chain, on the same integer dicts.
+edge factors of a chain, on the same integer dicts, and ``shifted_sum`` sums
+polynomials times monomials, the terms of a change of coordinates.
 
 ``Rows`` multiplies on packed rows, a Kronecker substitution in one
 variable (Harvey, "Faster polynomial multiplication via multipoint Kronecker
@@ -62,7 +63,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-__all__ = ["SparsePoly", "Rows", "binary_form", "linear_form", "MAX_DEGREE"]
+__all__ = ["SparsePoly", "Rows", "binary_form", "linear_form", "shifted_sum", "MAX_DEGREE"]
 
 Exponents = tuple[int, ...]
 Terms = dict[int, int]
@@ -301,9 +302,9 @@ class SparsePoly:
         groups within every cap.  The result is normalized again.  This is the
         product of ``TruncatedSeries``, whose products are many and small, so
         that packing and unpacking would cost more than they save: on packed
-        rows (``Rows``) the 494 series products of one ``gw_table(5, 1, 3)``
-        took 0.037-0.045 s instead of 0.010-0.014 s (best of 7, 2 vCPUs,
-        Python 3.11).
+        rows (``Rows``) the 89 series products of one ``gw_table(5, 1, 3)``
+        took 0.0036-0.0038 s instead of 0.0019 s (best and median of 7,
+        2 vCPUs, Python 3.11).
         """
         top = _BITS * self.nvars
         _check_degree((max(self.terms, default=0) >> top)
@@ -494,6 +495,28 @@ def eps_coefficient(s: list[Terms], t: list[Terms], j: int, content: Fraction,
                     nvars: int) -> SparsePoly:
     """content times the eps^j coefficient of the product of two eps-series."""
     return SparsePoly._make(nvars, eps_mul(s, t, [j], nvars)[0], content)
+
+
+def shifted_sum(nvars: int,
+                parts: Iterable[tuple[Fraction, int, Exponents, SparsePoly]]) -> SparsePoly:
+    """sum c k x^e p over the parts (c, k, e, p), for rational c and integer k.
+
+    The sum is taken on integer dicts over one common denominator, so a
+    part costs no ``Fraction`` and no normalization.
+    """
+    top = _BITS * nvars
+    parts = [(c.numerator * k * p.content.numerator, c.denominator * p.content.denominator,
+              _pack(e, nvars), p.terms) for c, k, e, p in parts if p.terms]
+    den = lcm(*(q for _, q, _, _ in parts))
+    out: Terms = {}
+    get = out.get
+    for n, q, shift, terms in parts:
+        _check_degree((shift >> top) + (max(terms) >> top))
+        m = n * (den // q)
+        for e, c in terms.items():
+            e += shift
+            out[e] = get(e, 0) + m * c
+    return SparsePoly._make(nvars, _nonzero(out), Fraction(1, den))
 
 
 def binary_form(coeffs: list[int], x: SparsePoly, y: SparsePoly) -> SparsePoly:

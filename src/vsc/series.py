@@ -12,14 +12,16 @@ its layout.
 The q^0 layer may hold block polynomials (mirror maps have none, two-point
 functions do), but exp/log/inverse require the usual normalizations and
 raise otherwise.  ``substitute`` carries series through a change of flat
-coordinates x^p = t^p + D_p(t), the shape of an inverse mirror map.
+coordinates x^p = t^p + D_p(t), the shape of an inverse mirror map, by a
+binomial expansion whose products depend on the shift, not on the series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, prod
 
-from .poly import SparsePoly
+from .poly import SparsePoly, shifted_sum
 
 Key = tuple[int, tuple[int, ...]]
 
@@ -146,7 +148,7 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return (f"TruncatedSeries(nblocks={self.nblocks}, q_cap={self.q_cap}, "
-                f"terms={len(self.poly.terms)})")
+                f"terms={len(self.items())})")
 
     def to_json(self) -> dict:
         return {"nblocks": self.nblocks, "q_cap": self.q_cap,
@@ -163,9 +165,13 @@ def substitute(series: list[TruncatedSeries],
     """Evaluate each series(x) on the coordinate change x^p = t^p + D_p(t).
 
     ``shift`` maps p = 1..nblocks+1 to D_p, and nothing else: q = e^{x^1}
-    takes the value q exp(D_1) and block x^a the value x^a + D_{a+2}.  Each
-    variable takes its powers from one table built once for all series, so
-    a term costs one product per variable it involves beyond the first.
+    takes the value Q = q exp(D_1) and block x^a the value x^a + D_{a+2}.
+    Expanded binomially, a term c q^d x^e becomes the sum over i <= e of
+    c prod_a C(e_a, i_a) x^{e-i} T(d, i), with T(d, i) = Q^d prod_a
+    D_{a+2}^{i_a}.  The table T is shared by all series and built lazily,
+    each entry one product of a lower one, so the number of products
+    depends on the shift and the degrees, not on the number of terms.  An
+    entry beyond a zero one is zero, so each axis of i stops at its first.
     """
     sample = next(iter(shift.values()), None)
     if sample is None or sorted(shift) != list(range(1, sample.nblocks + 2)):
@@ -173,26 +179,30 @@ def substitute(series: list[TruncatedSeries],
     nblocks, q_cap = sample.nblocks, sample.q_cap
     for s in (*series, *shift.values()):
         sample._check(s)
-    one = TruncatedSeries.constant(1, nblocks, q_cap)
-    values = [TruncatedSeries.q_power(1, nblocks, q_cap) * shift[1].exp(),
-              *(TruncatedSeries.block(a, nblocks, q_cap) + shift[a + 2]
-                for a in range(nblocks))]
-    powers = [[one, value] for value in values]
+    zeros = (0,) * nblocks
+    table = {(0, zeros): TruncatedSeries.constant(1, nblocks, q_cap)}
+    factors = [TruncatedSeries.q_power(1, nblocks, q_cap) * shift[1].exp(),
+               *(shift[a + 2] for a in range(nblocks))]
 
-    def power(v: int, e: int) -> TruncatedSeries:
-        table = powers[v]
-        while len(table) <= e:
-            table.append(table[-1] * values[v])
-        return table[e]
+    def entry(d: int, i: tuple[int, ...]) -> TruncatedSeries:
+        if (t := table.get((d, i))) is None:
+            a = max((b for b, k in enumerate(i) if k), default=-1)  # -1: the q axis
+            lower = (d - 1, i) if a < 0 else (d, (*i[:a], i[a] - 1, *i[a + 1:]))
+            t = table[(d, i)] = entry(*lower) * factors[a + 1]
+        return t
 
-    out = []
-    for f in series:
-        total = TruncatedSeries.zero(nblocks, q_cap)
-        for (d, exps), c in f.items():
-            term = one
-            for v, e in enumerate((d, *exps)):
-                if e:
-                    term = power(v, e) if term is one else term * power(v, e)
-            total = total + term.scale(c)
-        out.append(total)
-    return out
+    def walk(d: int, exps: tuple[int, ...]) -> list[tuple[int, ...]]:
+        # every i <= exps with T(d, i) nonzero, raising one axis at a time
+        found = [] if entry(d, zeros).is_zero() else [zeros]
+        for a, top in enumerate(exps):
+            for i in found[:]:
+                for j in range(1, top + 1):
+                    i = (*i[:a], j, *i[a + 1:])
+                    if entry(d, i).is_zero():
+                        break
+                    found.append(i)
+        return found
+
+    return [sample._like(shifted_sum(nblocks + 1, (
+        (c, prod(map(comb, exps, i)), (0, *(e - k for e, k in zip(exps, i))), table[(d, i)].poly)
+        for (d, exps), c in f.items() for i in walk(d, exps)))) for f in series]

@@ -153,15 +153,16 @@ def test_substitute_scalar_exponential_shift():
     assert got == expect
 
 
-def _layered_series(first_degree):
-    # two blocks, q_cap 3, two or three terms at every q-degree from first_degree on
-    layer = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+def _layered_series(first_degree, nblocks=2, top=2):
+    # q_cap 3, two or three terms at every q-degree from first_degree on (one
+    # with no blocks), each block exponent at most top
+    layer = st.dictionaries(st.tuples(*[st.integers(0, top)] * nblocks),
                             st.fractions(min_value=-3, max_value=3, max_denominator=4),
-                            min_size=2, max_size=3)
+                            min_size=min(2, 3 ** nblocks), max_size=3)
     return st.lists(layer, min_size=4 - first_degree, max_size=4 - first_degree).map(
-        lambda layers: TruncatedSeries(2, 3, {(d, e): c for d, terms in
-                                              enumerate(layers, first_degree)
-                                              for e, c in terms.items()}))
+        lambda layers: TruncatedSeries(nblocks, 3, {(d, e): c for d, terms in
+                                                    enumerate(layers, first_degree)
+                                                    for e, c in terms.items()}))
 
 
 def _literal_substitute(f, shift):
@@ -194,6 +195,49 @@ def test_substitute_matches_literal_evaluation(series, d1, d2, d3):
     for bad in ({1: d1, 2: d2}, {**shift, 4: d3}, {}):
         with pytest.raises(ValueError):
             substitute(series, bad)
+
+
+@pytest.mark.parametrize("nblocks, zero", [(0, ()), (1, ()), (1, (1,)), (2, (3,)), (3, ())],
+                         ids=["0-blocks", "1-block", "zero-D1", "zero-D3", "3-blocks"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_substitute_matches_literal_evaluation_at_more_shapes(nblocks, zero, data):
+    # other block counts, a zero D_1, and a zero D_a, whose table axis stops at
+    # its first entry; every nonzero D_a with a >= 2 has a q^0 part.  Block
+    # exponents stay at most 1 with three blocks, where the oracle is slow.
+    top = 1 if nblocks == 3 else 2
+    series = data.draw(st.lists(_layered_series(0, nblocks, top), min_size=1, max_size=3))
+    shift = {p: TruncatedSeries.zero(nblocks, 3) if p in zero else
+             data.draw(_layered_series(int(p == 1), nblocks, top))
+             for p in range(1, nblocks + 2)}
+    assert substitute(series, shift) == [_literal_substitute(f, shift) for f in series]
+
+
+def test_substitute_products_do_not_grow_with_the_series(monkeypatch):
+    # the table T(d, i) is shared by every term of every series of a call, so
+    # more series, or more terms of the same q-degrees and the same largest
+    # block exponents, make no further product
+    products = []
+    mul = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    f = TruncatedSeries(2, 3, {(d, (2, 1)): Fraction(d, 3) for d in (1, 2, 3)})
+    g = f + TruncatedSeries(2, 3, {(d, e): Fraction(d + 1 + sum(e)) for d in (1, 2, 3)
+                                   for e in [(0, 0), (1, 0), (2, 0), (0, 1)]})
+    shift = {1: TruncatedSeries(2, 3, {(1, (1, 0)): Fraction(2), (2, (0, 0)): Fraction(-1)}),
+             2: TruncatedSeries(2, 3, {(0, (0, 1)): Fraction(1, 2), (1, (0, 0)): Fraction(3)}),
+             3: TruncatedSeries(2, 3, {(1, (1, 0)): Fraction(-1), (2, (0, 1)): Fraction(5)})}
+    counts = []
+    for series in ([f], [f, f, f], [g]):
+        products.clear()
+        substitute(series, shift)
+        counts.append(len(products))
+    assert len(g.items()) == 15
+    assert counts[0] == counts[1] == counts[2] > 0, counts
 
 
 def test_json_roundtrip():

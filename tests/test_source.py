@@ -45,6 +45,32 @@ def test_no_unused_imports_in_package():
     assert not unused, f"unused imports in src/vsc: {unused}"
 
 
+def test_series_uses_only_the_public_kernel():
+    # series.py works on SparsePoly through its public names only: the packed
+    # keys, their field limit and their private helpers stay in poly.py, so
+    # any sum over term dicts is a kernel function there (shifted_sum)
+    tree = ast.parse((SRC / "series.py").read_text())
+    public = next(ast.literal_eval(node.value) for node in ast.parse(
+        (SRC / "poly.py").read_text()).body if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
+    imports = [(getattr(node, "module", None) or "", alias.name) for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    from_poly = {name for module, name in imports if module.split(".")[-1] == "poly"}
+    assert from_poly and from_poly <= set(public) - {"MAX_DEGREE"}, from_poly
+    # nor the module itself, whose private names an attribute would reach
+    assert not [name for _, name in imports if name.split(".")[-1] == "poly"]
+    own = {node.name for node in ast.walk(tree)
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    layout = sorted({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                     and (node.attr == "terms"
+                          or node.attr.startswith("_") and not node.attr.endswith("__")
+                          and node.attr not in own)})
+    assert not layout, f"series.py reaches into the kernel's layout: {layout}"
+    bits = (ast.LShift, ast.RShift, ast.BitAnd, ast.BitXor)  # | also writes union types
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, bits)]
+
+
 TRACE_SCRIPT = """
 import json, sys
 sys.path[:0] = sys.argv[1:3]
