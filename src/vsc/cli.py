@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .cache import ResidueCache, default_cache_dir
@@ -58,12 +59,16 @@ def _add_cache_args(parser, threads: bool = True):
 
 
 def _cache_from(args) -> ResidueCache | None:
-    """The command's disk cache, its directory made now, so a bad one fails before any chain."""
+    """The command's disk cache, its directory made and a temp file written and removed
+    there now, so a directory that cannot hold records fails before any chain."""
     if getattr(args, "no_cache", False):
         return None
     directory = Path(args.cache_dir or default_cache_dir())
     try:
         directory.mkdir(parents=True, exist_ok=True)
+        fd, probe = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        os.close(fd)
+        os.unlink(probe)
     except OSError as exc:
         raise ValueError(f"cannot use cache directory {directory}: {exc.strerror}") from None
     return ResidueCache(directory)

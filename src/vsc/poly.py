@@ -44,11 +44,12 @@ multiply and add per pair of rows, and slot j of a row unpacks to e_u = j and
 e_w = field - j.  The terms of a homogeneous polynomial that agree off u and
 w share a row; without the partner each row of one would hold a single term.
 With one variable the degree field, which holds e_u already, is the partner.
-Caps on the other variables filter row keys as ``mul_capped`` filters
-terms; caps on u and w cut slots when the rows are unpacked.  The slot width
-is W = bitlen(B) + 1, for B the largest coefficient of the leading factor
-times the largest product of the factors' l1 norms (sums of absolute
-coefficients) over the sets of factors the rows will be unpacked for.
+Caps on the other variables filter row keys in ``_capped``, the one capped
+product, which ``mul_capped`` runs on terms; caps on u and w cut slots when
+the rows are unpacked.  The slot width is W = bitlen(B) + 1, for B the
+largest coefficient of the leading factor times the largest product of the
+factors' l1 norms (sums of absolute coefficients) over the sets of factors
+the rows will be unpacked for.
 Every coefficient c of such a product has |c| <= B < 2^(W-1), so adding
 2^(W-1) to each slot makes every digit nonnegative with no carry between
 slots, and the balanced digits, negative ones included, come out exactly.
@@ -99,6 +100,36 @@ def _mul_add(out: Terms, a: Terms, b: Terms, top: int) -> Terms:
     get = out.get
     for ea, ca in a.items():
         for eb, cb in b.items():
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
+    return out
+
+
+def _capped(a: Terms, b: Terms, top: int, fields: list[tuple[int, int]]) -> Terms:
+    """a * b for term dicts or rows, zeros kept, without the products whose field at bit
+    shift s exceeds cap for some (s, cap) in fields; top is the degree field's shift.
+
+    The terms of b are grouped by their capped fields (the key under a mask),
+    and each masked key of a meets only the groups within every cap.
+    """
+    _check_degree((max(a, default=0) >> top) + (max(b, default=0) >> top))
+    mask = sum(MAX_DEGREE << shift for shift, _ in fields)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for eb, cb in b.items():
+        groups.setdefault(eb & mask, []).append((eb, cb))
+    partners: dict[int, list[tuple[int, int]]] = {}  # masked key of a -> terms of b
+    out: Terms = {}
+    get = out.get
+    for ea, ca in a.items():
+        if (terms := partners.get(ka := ea & mask)) is None:
+            terms = partners[ka] = []
+            for kb, group in groups.items():
+                for shift, cap in fields:
+                    if ((ka + kb) >> shift) & MAX_DEGREE > cap:
+                        break
+                else:
+                    terms += group
+        for eb, cb in terms:
             e = ea + eb
             out[e] = get(e, 0) + ca * cb
     return out
@@ -297,39 +328,15 @@ class SparsePoly:
     def mul_capped(self, other: SparsePoly, caps: dict[int, int]) -> SparsePoly:
         """self * other without the terms of degree above ``caps[v]`` in x_v, for every v.
 
-        The terms of other are grouped by their degrees in the capped variables
-        (the packed key under a mask), and each such key of self meets only the
-        groups within every cap.  The result is normalized again.  This is the
-        product of ``TruncatedSeries``, whose products are many and small, so
-        that packing and unpacking would cost more than they save: on packed
-        rows (``Rows``) the 89 series products of one ``gw_table(5, 1, 3)``
-        took 0.0036-0.0038 s instead of 0.0019 s (best and median of 7,
-        2 vCPUs, Python 3.11).
+        The product of ``TruncatedSeries``: ``_capped`` on the term dicts,
+        normalized again.  Series products are small, so they stay off packed
+        rows (``Rows``), whose packing and unpacking would cost more than the
+        product saves.
         """
-        top = _BITS * self.nvars
-        _check_degree((max(self.terms, default=0) >> top)
-                      + (max(other.terms, default=0) >> top))
-        fields = [(_BITS * v, cap) for v, cap in caps.items()]
-        mask = sum(MAX_DEGREE << shift for shift, _ in fields)
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for e, c in other.terms.items():
-            groups.setdefault(e & mask, []).append((e, c))
-        partners: dict[int, list[tuple[int, int]]] = {}  # key of self -> terms of other
-        out: Terms = {}
-        get = out.get
-        for ea, ca in self.terms.items():
-            if (terms := partners.get(ka := ea & mask)) is None:
-                terms = partners[ka] = []
-                for kb, group in groups.items():
-                    for shift, cap in fields:
-                        if ((ka + kb) >> shift) & MAX_DEGREE > cap:
-                            break
-                    else:
-                        terms += group
-            for eb, cb in terms:
-                e = ea + eb
-                out[e] = get(e, 0) + ca * cb
-        return SparsePoly._make(self.nvars, _nonzero(out), self.content * other.content)
+        n = self.nvars
+        return SparsePoly._make(n, _nonzero(_capped(self.terms, other.terms, _BITS * n,
+                                                    [(_BITS * v, cap) for v, cap in caps.items()])),
+                                self.content * other.content)
 
     # -- expansion around a point ---------------------------------------------
 
@@ -536,18 +543,6 @@ def binary_form(coeffs: list[int], x: SparsePoly, y: SparsePoly) -> SparsePoly:
     return SparsePoly._make(n, _nonzero(out), Fraction(1, qx * qy) ** D)
 
 
-class _Fits(dict):
-    """Masked key -> whether every capped field in it is within its cap, filled on first use."""
-
-    def __init__(self, fields: list[tuple[int, int]]):
-        super().__init__()
-        self.fields = fields
-
-    def __missing__(self, key: int) -> bool:
-        fits = self[key] = all((key >> shift) & MAX_DEGREE <= cap for shift, cap in self.fields)
-        return fits
-
-
 class Rows:
     """Capped products lead * f_1 * ... * f_m on packed rows, for each given list of factors.
 
@@ -558,7 +553,7 @@ class Rows:
     products of lead and a sublist of one of the sets may be unpacked.
     """
 
-    __slots__ = ("nvars", "width", "shift", "part", "step", "cap_u", "cap_w", "mask", "fits")
+    __slots__ = ("nvars", "width", "shift", "part", "step", "cap_u", "cap_w", "fields")
 
     def __init__(self, lead: SparsePoly, caps: dict[int, int],
                  sets: Iterable[Iterable[SparsePoly]]):
@@ -579,9 +574,7 @@ class Rows:
         self.shift, self.part = _BITS * u, _BITS * w
         self.step = (1 << self.shift) - (1 << self.part if n > 1 else 0)
         self.cap_u, self.cap_w = caps.get(u, MAX_DEGREE), caps.get(w, MAX_DEGREE)
-        fields = [(_BITS * v, cap) for v, cap in caps.items() if v not in (u, w)]
-        self.mask = sum(MAX_DEGREE << shift for shift, _ in fields)
-        self.fits = _Fits(fields)
+        self.fields = [(_BITS * v, cap) for v, cap in caps.items() if v not in (u, w)]
 
     def pack(self, p: SparsePoly) -> tuple[int, int, Terms]:
         """(numerator, denominator, rows) of p."""
@@ -598,30 +591,12 @@ class Rows:
         """a * b without the rows above the caps on the variables other than the slot and
         its partner."""
         (pa, qa, ra), (pb, qb, rb) = a, b
-        if not ra or not rb:
-            return 0, 1, {}
-        top = _BITS * self.nvars
-        _check_degree((max(ra) >> top) + (max(rb) >> top))
-        mask, fits = self.mask, self.fits
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for kb, vb in rb.items():
-            groups.setdefault(kb & mask, []).append((kb, vb))
-        partners: dict[int, list[tuple[int, int]]] = {}  # masked key of a -> rows of b
-        out: Terms = {}
-        get = out.get
-        for ka, va in ra.items():
-            if (rows := partners.get(m := ka & mask)) is None:
-                rows = partners[m] = [r for mb, group in groups.items() if fits[m + mb]
-                                      for r in group]
-            for kb, vb in rows:
-                k = ka + kb
-                out[k] = get(k, 0) + va * vb
-        return pa * pb, qa * qb, _nonzero(out)
+        return pa * pb, qa * qb, _nonzero(_capped(ra, rb, _BITS * self.nvars, self.fields))
 
     def unpack(self, a: tuple[int, int, Terms]) -> SparsePoly:
         """The polynomial of a, without its terms above the caps."""
         p, q, rows = a
-        width, step, part, mask, fits = self.width, self.step, self.part, self.mask, self.fits
+        width, step, part, fields = self.width, self.step, self.part, self.fields
         cap_u, cap_w = self.cap_u, self.cap_w
         half, digit = 1 << (width - 1), (1 << width) - 1
         offsets = [0]  # offsets[m]: half in each of the slots 0 .. m-1
@@ -629,7 +604,7 @@ class Rows:
             offsets.append(offsets[-1] | half << (width * j))
         terms: Terms = {}
         for k, v in rows.items():
-            if not fits[k & mask]:
+            if any((k >> shift) & MAX_DEGREE > cap for shift, cap in fields):
                 continue
             # the nonzero slots of v lie between its lowest set bit and its length
             lo = ((v & -v).bit_length() - 1) // width

@@ -1,7 +1,10 @@
+import errno
 import json
+import tempfile
 
 import pytest
 
+import vsc.elliptic
 from vsc.cli import main
 
 
@@ -144,3 +147,26 @@ def test_cache_dir_round_trip(tmp_path, capsys, empty_memo):
     assert code1 == code2 == 0
     assert out1 == out2
     assert any(tmp_path.iterdir())
+
+
+def test_unwritable_cache_dir_fails_before_any_chain(tmp_path, capsys, monkeypatch):
+    # permission bits do not stop a root user, so the directory is made
+    # unwritable at the call that every record write makes
+    mkstemp, residue_chain, chains = tempfile.mkstemp, vsc.elliptic.residue_chain, []
+
+    def refuse(*args, dir=None, **kwargs):
+        if dir is not None and tmp_path.samefile(dir):
+            raise PermissionError(errno.EACCES, "Permission denied")
+        return mkstemp(*args, dir=dir, **kwargs)
+
+    def chain(*args, **kwargs):
+        chains.append(args)
+        return residue_chain(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "mkstemp", refuse)
+    monkeypatch.setattr(vsc.elliptic, "residue_chain", chain)
+    code, out, err = run(capsys, "g1", "--N", "5", "--k", "5", "--d", "2", "--threads", "1",
+                         "--cache-dir", str(tmp_path))
+    assert (code, out, chains) == (2, "", [])
+    assert f"cannot use cache directory {tmp_path}: Permission denied" in err
+    assert not any(tmp_path.iterdir())

@@ -21,6 +21,7 @@ from vsc.ratfun import RatExpr
 
 from oracles import (ascending_chain, genus0_direct, poly_add, poly_mul, poly_pow,
                      poly_substitute, subst_zero, uncapped_numerator)
+from strategies import bounded_fractions
 
 F = Fraction
 
@@ -124,7 +125,7 @@ def test_numerator_matches_literal_product(data):
     ins_t = tuple(data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                                      max_size=2)))
     mono = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-    scalar = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    scalar = data.draw(bounded_fractions(3, 7))
     literal = _literal_numerator(k, n, scalar, mono, edges, ins_t, loops)
     lead = SparsePoly(n, {mono: scalar})
     forms = [tuple(x if isinstance(x, int) else linear_form(x, n) for x in e) for e in edges]

@@ -19,6 +19,7 @@ from vsc.poly import MAX_DEGREE, Rows
 from oracles import (derivative, dict_numerator, eps_coefficients, equals, poly_add,
                      poly_derivative, poly_divide_exact_linear, poly_mul, poly_substitute,
                      subst_zero, substitute)
+from strategies import bounded_fractions
 
 F = Fraction
 
@@ -85,7 +86,7 @@ small_polys = st.builds(
     lambda d: SparsePoly(3, {e: c for e, c in d.items() if c}),
     st.dictionaries(
         st.tuples(*[st.integers(0, 3)] * 3),
-        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        bounded_fractions(5, 6),
         max_size=5,
     ),
 )
@@ -142,7 +143,7 @@ def test_linear_division_roundtrip(p):
 def _poly_in(draw, n):
     return SparsePoly(n, draw(st.dictionaries(
         st.tuples(*[st.integers(0, 3)] * n),
-        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        bounded_fractions(5, 6),
         max_size=6,
     )))
 
@@ -208,7 +209,7 @@ def test_packed_kernel_matches_tuple_oracles(data):
         t_pow = poly_mul(t_pow, t)
     assert collected == poly_substitute(lift(a), v, poly_add(lift(root), t))
     # exact quotient of f*a by a linear f, and None for f*a + 1
-    lin = data.draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    lin = data.draw(st.lists(bounded_fractions(4, 5),
                              min_size=n + 1, max_size=n + 1).filter(lambda c: any(c[:n])))
     f = linear_form(dict(enumerate(lin[:n])), n) + lin[n]
     fa = f * a
@@ -256,6 +257,7 @@ M = 2 ** 40 - 1  # the extreme slot values below come from coefficients of M
           P(3, {(0, 1, 1): 1}), {0: 1, 1: 2, 2: 3}))
 def test_row_product_matches_capped_product(operands):
     a, b, caps = operands
+    assert a.mul_capped(b, caps) == _below(a * b, caps)
     rows = Rows(a, caps, [[b]])
     assert rows.unpack(rows.mul(rows.pack(a), rows.pack(b))) == _below(a * b, caps)
     assert rows.unpack(rows.pack(a)) == _below(a, caps)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from vsc.series import TruncatedSeries, substitute
 
 from oracles import series_add, series_mul
+from strategies import bounded_fractions
 
 
 def test_constructors_and_coefficients():
@@ -86,8 +88,7 @@ def test_inverse_geometric():
     assert inv2.coefficient(2) == Fraction(1, 8)
 
 
-small_fracs = st.fractions(
-    min_value=-3, max_value=3, max_denominator=4)
+small_fracs = bounded_fractions(3, 4)
 
 
 @st.composite
@@ -156,8 +157,8 @@ def test_substitute_scalar_exponential_shift():
 def _layered_series(first_degree, nblocks=2, top=2):
     # q_cap 3, two or three terms at every q-degree from first_degree on (one
     # with no blocks), each block exponent at most top
-    layer = st.dictionaries(st.tuples(*[st.integers(0, top)] * nblocks),
-                            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    layer = st.dictionaries(st.sampled_from(list(product(range(top + 1), repeat=nblocks))),
+                            small_fracs,
                             min_size=min(2, 3 ** nblocks), max_size=3)
     return st.lists(layer, min_size=4 - first_degree, max_size=4 - first_degree).map(
         lambda layers: TruncatedSeries(nblocks, 3, {(d, e): c for d, terms in
