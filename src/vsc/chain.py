@@ -7,6 +7,10 @@ and the residue is taken at 0 and at the root of that factor as it looks
 after all preceding substitutions.  Integrand builders hand every chain its
 steps together with the integrand (genus0.integrand), those at 0 alone first.
 
+A factor may enter late, just before the first step whose variable it
+contains.  No earlier substitution touches it, and each earlier residue, in
+a variable it lacks, carries it along, so every value is the whole integrand's.
+
 Pole order at each point is whatever the vanishing denominator factors say,
 so a designated factor that merged with others or drifted onto 0 is still
 counted exactly once.  One chain walks every integrand of a layout, one per
@@ -53,33 +57,44 @@ def _leaf(g: RatExpr, v: int) -> Fraction:
     return num.content
 
 
-def residue_chain(fs, steps: list[tuple[int, SparsePoly | None]], *,
+def residue_chain(fs, steps: list[tuple[int, SparsePoly | None]],
+                  later: dict[int, tuple[SparsePoly, list]] | None = None, *,
                   stats: dict | None = None) -> list[Fraction]:
     """Sum of iterated residues over all admissible pole branches, per integrand of fs.
 
     fs: integrands over one denominator, read once; steps: (variable, form)
-    in elimination order.  The integrands go down the branches together: a
-    branch finds its roots, one residue_at side dict per root and the forms
-    of the steps still to come, evolved through each root, once for all.
-    Below a root the nonzero residues split by their denominator exponents,
-    which the true pole order fixes, so each group shares one denominator.
-    Every expression entering a step must be homogeneous of degree minus the
-    steps left: a chain of s residues turns degree -s into a constant.  At
-    the last step, in x_v, an expression of degree -1 in x_v alone is
-    c x_v^(E-1) / x_v^E, and its residue c is read off without residue_at;
-    anything else there raises RuntimeError.
+    in elimination order; later: {j: (numerator, denominator factors)} that
+    every expression takes just before step j.  The integrands go down the
+    branches together: a branch finds its roots, one residue_at side dict
+    per root and the forms of the steps still to come, evolved through each
+    root, once for all.  Below a root the nonzero residues split by their
+    denominator exponents, which the true pole order fixes, so each group
+    shares one denominator.  Every expression at a step must be homogeneous
+    of degree minus the steps left, less the degree still to enter: a chain
+    of s residues turns degree -s into a constant.  At the last step, in x_v,
+    an expression of degree -1 in x_v alone is c x_v^(E-1) / x_v^E, and its
+    residue c is read off without residue_at; anything else raises RuntimeError.
     """
     stats = {} if stats is None else stats
+    later = later or {}
+    # ahead[j]: the degree of the factors that enter after step j
+    degree = {j: RatExpr(*factors).homogeneous_degree() for j, factors in later.items()}
+    ahead = [sum(d for i, d in degree.items() if i > j) for j in range(len(steps))]
     values: list[Fraction] = []
 
     def walk(gs, steps: list[tuple[int, SparsePoly | None]]) -> None:
         # gs: (index in values, expression) pairs over one denominator
         (v, form), rest = steps[0], steps[1:]
+        j = len(ahead) - len(steps)
+        if j in later:
+            num, den = later[j]
+            gs = ((i, RatExpr(g.num * num, [*g.den, *den])) for i, g in gs)
         branches = []  # (root, side, {den exponents: group}) per root, from the first g
         for i, g in gs:
-            if g.homogeneous_degree() != -len(steps):
-                raise RuntimeError(f"expression has homogeneous degree {g.homogeneous_degree()}, "
-                                   f"not minus its {len(steps)} residue steps left")
+            if (d := g.homogeneous_degree()) != -len(steps) - ahead[j]:
+                raise RuntimeError(f"expression has homogeneous degree {d}, not minus its "
+                                   f"{len(steps)} residue steps left less the degree "
+                                   f"{ahead[j]} still to enter")
             if not rest:
                 stats["leaves"] = stats.get("leaves", 0) + 1
                 values[i] += _leaf(g, v)

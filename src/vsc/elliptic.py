@@ -32,14 +32,15 @@ gives e = w - L (N - k) + 2 for a tail of length L.  A cluster has one more fact
 core without tails, with e = k f + w.  A piece with e <= 0 has no pole at
 z_0 = 0 and is 0, so it is never built.
 
-Each builder only describes its layout and returns (integrand, steps); a
-step is (variable, form) as in chain.residue_chain, genus0.midpoint adds an
-interior vertex and returns its step, and genus0.integrand assembles the
-integrand.  A tail piece is a genus-0 path, a loop is a cycle, a
+Each builder only describes its layout and returns (integrands, steps,
+later); a step is (variable, form) as in chain.residue_chain, genus0.midpoint
+adds an interior vertex and returns its step, and genus0.integrand assembles
+the integrands.  A tail piece is a genus-0 path, a loop is a cycle, a
 cluster core is the edge (u + z_core, core) with a self-loop of weight
 f - 1 on the core, and a point is one vertex with a self-loop of weight d.
-Every chain but a loop opens with its residues at 0 alone and builds its
-numerator only below those poles, as genus0.integrand caps it.
+A part with insertions enters whole at step 0, its numerator built only
+below the opening poles at 0 alone (a loop has none); in an insertion-free
+part each factor enters just before the first step whose variable it holds.
 
 Insertions with p = 0 kill the constant and each p = 1 insertion multiplies
 it by d; both are applied analytically before the graph sum.
@@ -107,7 +108,7 @@ def _tail_terms(N: int, k: int, piece: Piece, ins_ts: list[InsT]):
     edges, steps = path(N, length, den)
     den += [(SparsePoly.variable(0, n), _core_order(N, k, piece)),
             (linear_form({1: 1, 0: -1}, n), 1), (SparsePoly.variable(length, n), N)]
-    return integrand(k, SparsePoly.constant(1, n), edges, ins_ts, {}, den, steps), steps
+    return integrand(k, SparsePoly.constant(1, n), edges, ins_ts, {}, den, steps)
 
 
 def _cluster_core_terms(N: int, k: int, piece: Piece, ins_ts: list[InsT]):
@@ -126,7 +127,7 @@ def _cluster_core_terms(N: int, k: int, piece: Piece, ins_ts: list[InsT]):
                           for j in range(N + 1)})
     # the contracted loop is the edge (w, core) and a self-loop of weight f - 1
     steps = [(u, None), (core, None)]
-    return integrand(k, lead, [(w, core)], ins_ts, {core: f - 1}, den, steps), steps
+    return integrand(k, lead, [(w, core)], ins_ts, {core: f - 1}, den, steps)
 
 
 def _core_order(N: int, k: int, piece: Piece) -> int:
@@ -146,7 +147,7 @@ def _loop_terms(N: int, k: int, d: int, ins_ts: list[InsT]):
     steps = [midpoint(N, d, t, (t - 1) % d, (t + 1) % d, den) for t in range(d)]
     edges = [(t, (t + 1) % d) for t in range(d)]
     lead = SparsePoly.constant(Fraction(1, 2 * d) / k**d, d)
-    return integrand(k, lead, edges, ins_ts, {}, den, steps), steps
+    return integrand(k, lead, edges, ins_ts, {}, den, steps)
 
 
 def _point_terms(N: int, k: int, d: int, ins_ts: list[InsT]):
@@ -154,11 +155,12 @@ def _point_terms(N: int, k: int, d: int, ins_ts: list[InsT]):
     scalar = r_factor(N, k, d) * Fraction(k) ** (k * d) / 24
     den, steps = [(SparsePoly.variable(0, 1), N * d + 1)], [(0, None)]
     lead = SparsePoly(1, {(k * d,): scalar})
-    return integrand(k, lead, [], ins_ts, {0: d}, den, steps), steps
+    return integrand(k, lead, [], ins_ts, {0: d}, den, steps)
 
 
 def _part_integrand(N: int, k: int, part, ins_ts: list[InsT]):
-    """(integrands, steps) of the chain of a loop, a point or a piece, one integrand per set."""
+    """(integrands, steps, later) of the chain of a loop, a point or a piece, one integrand
+    per set."""
     if isinstance(part, Piece):
         return (_tail_terms if part.length else _cluster_core_terms)(N, k, part, ins_ts)
     if isinstance(part, LoopGraph):

@@ -89,10 +89,10 @@ def numerator(k: int, lead: SparsePoly, edges, ins_ts,
     set's product is unpacked once.
 
     With caps = {v: c, ...} a numerator keeps only the terms of degree <= c
-    in each x_v, those of lead included.  Capped as ``integrand`` caps it, a
-    numerator keeps the terms its chain's opening residues read, so the
-    chain value is the same; it stays homogeneous, and if it is 0 the chain
-    is 0.
+    in each x_v, those of lead included.  ``integrand`` builds here the whole
+    numerator of a part with insertions, capped so that it keeps the terms
+    its chain's opening residues read: the chain value is the same, the
+    numerator stays homogeneous, and if it is 0 the chain is 0.
     """
     n = lead.nvars
     edges = [tuple(SparsePoly.variable(x, n) if isinstance(x, int) else x for x in edge)
@@ -122,25 +122,46 @@ def numerator(k: int, lead: SparsePoly, edges, ins_ts,
 
 def integrand(k: int, lead: SparsePoly, edges, ins_ts, loops: dict[int, int],
               den: list[tuple[SparsePoly, int]], steps):
-    """The integrands of a layout, one per insertion set, built only below the opening poles.
+    """(integrands, steps, later) of a layout, one integrand per insertion set, as
+    chain.residue_chain takes them.
 
-    A chain opens with its steps at 0 alone (a loop has none).  A residue at
-    x_v = 0 of order m reads only the numerator's terms of degree below m in
-    x_v, so x_v is capped at m - 1 when no earlier opening residue can raise
-    m: when every factor that vanishes at x_v = 0 once the earlier opening
-    variables are 0 is a power of x_v itself.
+    The insertion power prod_p s_p^{m_p} contains every variable, so a part
+    with insertions enters whole at step 0, its numerators built on rows only
+    below the opening poles.  A chain opens with its steps at 0 alone (a loop
+    has none).  A residue at x_v = 0 of order m reads only the numerator's
+    terms of degree below m in x_v, so x_v is capped at m - 1 when no earlier
+    opening residue can raise m: when every factor that vanishes at x_v = 0
+    once the earlier opening variables are 0 is a power of x_v itself.
+    An insertion-free part starts from lead alone, and each edge factor e_k
+    and each denominator factor enters just before the first step whose
+    variable it contains, so no expression of its chain holds prod e_k.
     """
-    caps, opened = {}, set()
-    for v, form in steps:
-        if form is not None:
-            break
-        opened.add(v)
-        # the linear factors in x_v that vanish at 0 with the opened variables
-        at_zero = [(f, e) for f, e in den if f.degree_in(v) > 0 and
-                   all(f.degree_in(u) <= 0 for u in range(lead.nvars) if u not in opened)]
-        if all(len(f.terms) == 1 for f, _ in at_zero):
-            caps[v] = sum(e for _, e in at_zero) - 1
-    return (RatExpr(num, den) for num in numerator(k, lead, edges, ins_ts, loops, caps))
+    n = lead.nvars
+    if any(ins_ts):
+        caps, opened = {}, set()
+        for v, form in steps:
+            if form is not None:
+                break
+            opened.add(v)
+            # the linear factors in x_v that vanish at 0 with the opened variables
+            at_zero = [(f, e) for f, e in den if f.degree_in(v) > 0 and
+                       all(f.degree_in(u) <= 0 for u in range(n) if u not in opened)]
+            if all(len(f.terms) == 1 for f, _ in at_zero):
+                caps[v] = sum(e for _, e in at_zero) - 1
+        nums = numerator(k, lead, edges, ins_ts, loops, caps)
+        return (RatExpr(num, den) for num in nums), steps, {}
+
+    def entry(*ps):
+        return next((j for j, (v, _) in enumerate(steps) if any(p.degree_in(v) > 0 for p in ps)))
+
+    one, later = SparsePoly.constant(1, n), {}
+    for edge in edges:
+        edge = tuple(SparsePoly.variable(x, n) if isinstance(x, int) else x for x in edge)
+        num, fs = later.setdefault(j := entry(*edge), (one, []))
+        later[j] = num * e_poly(k, *edge), fs
+    for f, e in den:
+        later.setdefault(entry(f), (one, []))[1].append((f, e))
+    return [RatExpr(lead)], steps, later
 
 
 def midpoint(N: int, n: int, v: int, left: int, right: int,
@@ -198,11 +219,11 @@ def path(N: int, d: int, den: list[tuple[SparsePoly, int]]):
 
 
 def _integrand(N, k, d, a, b, ins_ts):
-    """(integrands, steps) of the chain of slots a, b on the path of degree d."""
+    """(integrands, steps, later) of the chain of slots a, b on the path of degree d."""
     n = d + 1
     den = [(SparsePoly.variable(0, n), N - min(a, 0)),
            (SparsePoly.variable(d, n), N - min(b, 0))]
     edges, steps = path(N, d, den)
     mono = (max(a, 0),) + (0,) * (d - 1) + (max(b, 0),)
     lead = SparsePoly(n, {mono: Fraction(1, k ** (d - 1))})
-    return integrand(k, lead, edges, ins_ts, {}, den, steps), steps
+    return integrand(k, lead, edges, ins_ts, {}, den, steps)

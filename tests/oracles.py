@@ -7,9 +7,8 @@ from math import comb
 from vsc import series
 from vsc.calabi_yau import cy_report, ltilde
 from vsc.chain import residue_chain
-from vsc.elliptic import _part_integrand
-from vsc.genus0 import _integrand, e_poly, integrand, midpoint, numerator, w_poly
-from vsc.graphs import ClusterStarGraph, StarGraph, sym_factor
+from vsc.genus0 import _integrand, e_poly, midpoint, numerator, w_poly
+from vsc.graphs import ClusterStarGraph, LoopGraph, StarGraph, r_factor, sym_factor
 from vsc.hypersurface import Hypersurface, ins_key
 from vsc.pipeline import invert_corrections
 from vsc.poly import SparsePoly, linear_form
@@ -307,19 +306,61 @@ def ascending_chain(N: int, k: int, d: int, a: int, b: int, ins_ts):
     return [RatExpr(_uncapped_product(k, lead, edges, ins_t, {}), den) for ins_t in ins_ts], steps
 
 
+def whole_integrand(k, lead, edges, ins_ts, loops, den, steps):
+    """(integrands, steps) of a layout with every factor at step 0.
+
+    genus0.integrand as it was before factors entered their chains one step
+    at a time: each set's whole numerator, capped in the opening variables
+    as the engine caps its step-0 product, over the whole denominator.  The
+    reference for the deferred factors of insertion-free parts; a test puts
+    it in place of genus0.integrand to run the engine's own layouts whole.
+    """
+    caps, opened = {}, set()
+    for v, form in steps:
+        if form is not None:
+            break
+        opened.add(v)
+        at_zero = [(f, e) for f, e in den if f.degree_in(v) > 0 and
+                   all(f.degree_in(u) <= 0 for u in range(lead.nvars) if u not in opened)]
+        if all(len(f.terms) == 1 for f, _ in at_zero):
+            caps[v] = sum(e for _, e in at_zero) - 1
+    return [RatExpr(num, den) for num in numerator(k, lead, edges, ins_ts, loops, caps)], steps
+
+
+def whole_loop(N: int, k: int, d: int, ins_ts, order=None):
+    """(integrands, steps) of the degree-d loop from whole numerators, its vertices
+    eliminated in the given order (default 0, 1, ..., d - 1).
+
+    The engine's loop layout, built here on its own, so that a change to the
+    engine's steps or factors shows against it.
+    """
+    den: list = []
+    steps = [midpoint(N, d, t, (t - 1) % d, (t + 1) % d, den) for t in range(d)]
+    lead = SparsePoly.constant(Fraction(1, 2 * d) / k**d, d)
+    edges = [(t, (t + 1) % d) for t in range(d)]
+    return whole_integrand(k, lead, edges, ins_ts, {}, den,
+                           [steps[t] for t in (order or range(d))])
+
+
 def whole_graph_integrand(N: int, k: int, graph, ins_ts):
-    """(integrands, steps) of a catalog graph as one chain over all its variables.
+    """(integrands, steps) of a catalog graph as one chain over all its variables,
+    every factor at step 0.
 
     A star is its core z_0 and every tail; a cluster is u = w - z_core, its
     core and every tail.  The engine factors both into tail and cluster-core
-    pieces and multiplies their insertion series; loops and points are the
-    engine's own chains.
+    pieces and multiplies their insertion series.  A loop is whole_loop, and
+    a point one vertex with a self-loop of weight d, as in the engine.
     """
     if isinstance(graph, StarGraph):
         return _whole_star(N, k, graph.sigma, ins_ts)
     if isinstance(graph, ClusterStarGraph):
         return _whole_cluster(N, k, graph.f, graph.sigma, ins_ts)
-    return _part_integrand(N, k, graph, ins_ts)
+    if isinstance(graph, LoopGraph):
+        return whole_loop(N, k, graph.d, ins_ts)
+    d = graph.d
+    lead = SparsePoly(1, {(k * d,): r_factor(N, k, d) * Fraction(k) ** (k * d) / 24})
+    return whole_integrand(k, lead, [], ins_ts, {0: d}, [(SparsePoly.variable(0, 1), N * d + 1)],
+                           [(0, None)])
 
 
 def _hang_tails(N, n, core, sigma, den):
@@ -355,7 +396,7 @@ def _whole_star(N, k, sigma, ins_ts):
     edges, tail_steps = _hang_tails(N, n, core, sigma, den)
     steps = [(core, None), *tail_steps]
     lead = SparsePoly(n, {(N - 2,) + (0,) * d: scalar})
-    return integrand(k, lead, edges, ins_ts, {}, den, steps), steps
+    return whole_integrand(k, lead, edges, ins_ts, {}, den, steps)
 
 
 def _whole_cluster(N, k, f, sigma, ins_ts):
@@ -376,7 +417,7 @@ def _whole_cluster(N, k, f, sigma, ins_ts):
     w_pow = SparsePoly(n, {(j, N - j) + tails: comb(N, j) for j in range(N + 1)})
     split = w_pow.scale(N + 1) + SparsePoly(n, {(0, N) + tails: N - 1})
     lead = split * SparsePoly(n, {(0, k * (f - 1)) + tails: scalar})
-    return integrand(k, lead, edges, ins_ts, {core: f - 1}, den, steps), steps
+    return whole_integrand(k, lead, edges, ins_ts, {core: f - 1}, den, steps)
 
 
 def whole_graph_residue(N: int, k: int, graph, ins_t) -> Fraction:

@@ -9,6 +9,7 @@ import pytest
 
 import vsc
 from vsc.cache import ResidueCache, graph_key
+from vsc.chain import residue_chain
 from vsc.elliptic import _part_integrand, _plan, elliptic_constant, graph_residue, graph_values
 from vsc.graphs import (
     ClusterStarGraph,
@@ -19,9 +20,10 @@ from vsc.graphs import (
 )
 from vsc.hypersurface import ins_key
 from vsc.pipeline import weighted_insertions
+from vsc.ratfun import RatExpr
 
 from oracles import (cluster_by_halves, reduced_graph_residue, whole_graph_integrand,
-                     whole_graph_residue)
+                     whole_graph_residue, whole_loop)
 
 
 def test_projective_plane_degree_one_graph_values():
@@ -118,11 +120,24 @@ def test_graph_integrands_have_degree_minus_step_count(N, k):
             parts = _plan(N, k, [(g, ins_key(ins)) for g in graphs_of_degree(d)])
             for part, sets in parts.items():
                 for ins_t in sets:
-                    (f,), steps = _part_integrand(N, k, part, [ins_t])
+                    (f,), steps, later = _part_integrand(N, k, part, [ins_t])
                     if not f.is_zero():
-                        assert f.homogeneous_degree() == -len(steps), (part, ins_t)
+                        # with the factors that enter the chain after its first step
+                        degree = f.homogeneous_degree() + sum(
+                            RatExpr(*factors).homogeneous_degree() for factors in later.values())
+                        assert degree == -len(steps), (part, ins_t)
                         checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_calabi_yau_loops_equal_their_even_vertices_first_chains(N):
+    # the engine eliminates a loop's vertices in cyclic order; even vertices
+    # first is another elimination order over whole numerators
+    for d in range(2, 6):
+        order = [*range(0, d, 2), *range(1, d, 2)]
+        (value,) = graph_residue(N, N, LoopGraph(d), [()])
+        assert residue_chain(*whole_loop(N, N, d, [()], order)) == [value] != [0], (N, d)
 
 
 def _star_and_cluster_jobs(N, k, dmax):
@@ -186,12 +201,12 @@ from vsc.poly import SparsePoly
 from vsc.ratfun import RatExpr
 if not sys.flags.optimize:
     sys.exit(2)
-for (f,), steps in (_part_integrand(4, 1, Piece(0, 1, 3), [((2, 3),)]),
-                    _part_integrand(4, 1, Piece(1, 0, 2), [((2, 2),)]),
-                    _integrand(4, 1, 2, 2, 2, [((2, 3),)])):
+for (f,), steps, later in (_part_integrand(4, 1, Piece(0, 1, 3), [((2, 3),)]),
+                          _part_integrand(4, 1, Piece(1, 0, 2), [((2, 2),)]),
+                          _integrand(4, 1, 2, 2, 2, [((2, 3),)])):
     f = RatExpr(f.num * SparsePoly.variable(0, f.nvars), f.den)
     try:
-        residue_chain([f], steps)
+        residue_chain([f], steps, later)
     except RuntimeError:
         continue
     sys.exit(1)

@@ -172,9 +172,9 @@ def test_capped_numerators_give_the_same_chain_values(monkeypatch):
     monkeypatch.setattr(genus0, "numerator", uncapped_numerator)
     full = [build() for build in builds]
     smaller = smaller_than_first = nonzero = 0
-    for ((f,), steps), ((h,), _), ((g,), _) in zip(capped, first, full):
-        (value,) = residue_chain([f], steps)
-        assert [value] == residue_chain([g], steps)
+    for ((f,), steps, later), ((h,), _, _), ((g,), _, _) in zip(capped, first, full):
+        (value,) = residue_chain([f], steps, later)
+        assert [value] == residue_chain([g], steps, later)
         smaller += len(f.num.terms) < len(g.num.terms)
         smaller_than_first += len(f.num.terms) < len(h.num.terms)
         nonzero += value != 0
@@ -279,9 +279,8 @@ def test_branch_count_matches_two_to_the_d_minus_one():
     assert stats.get("leaves", 0) == 4  # all four branches contribute here
     # the engine takes both ends at 0 first; with z_0 = z_3 = 0 the root of
     # z_2 falls onto 0 on either branch of z_1, so there are two leaves
-    fs, steps = _integrand(4, 1, 3, 1, 0, [((2, 9),)])
     stats = {}
-    assert residue_chain(fs, steps, stats=stats) == [622320]
+    assert residue_chain(*_integrand(4, 1, 3, 1, 0, [((2, 9),)]), stats=stats) == [622320]
     assert stats == {"leaves": 2}
 
 

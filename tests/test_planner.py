@@ -19,7 +19,7 @@ from vsc.graphs import LoopGraph, PointGraph, StarGraph
 from vsc.pipeline import gw_table, mirror_corrections
 from vsc.ratfun import RatExpr
 
-from oracles import ascending_chain, uncapped_numerator
+from oracles import ascending_chain, uncapped_numerator, whole_integrand
 
 G1_ARGV = ("g1", "--N", "4", "--k", "1", "--d", "1", "--ins", "2:3")
 
@@ -264,8 +264,8 @@ def _planner_run(monkeypatch, table):
         items.extend(zip(batch, values))
         return values
 
-    def counted(fs, steps):
-        return residue_chain(fs, steps, stats=stats)
+    def counted(fs, steps, later=None):
+        return residue_chain(fs, steps, later, stats=stats)
 
     with monkeypatch.context() as patch:
         patch.setattr(vsc.elliptic, "parallel_map", recording)
@@ -285,10 +285,10 @@ def test_batched_values_equal_single_set_values(monkeypatch, empty_memo, k):
     for (N, _, part, sets), batch in items:
         for ins_t, value in zip(sets, batch, strict=True):
             if isinstance(part, Genus0Chain):
-                fs, steps = _integrand(N, k, part.degree, part.a, part.b, [ins_t])
+                chain = _integrand(N, k, part.degree, part.a, part.b, [ins_t])
             else:
-                fs, steps = _part_integrand(N, k, part, [ins_t])
-            assert residue_chain(fs, steps) == [value], (part, ins_t)
+                chain = _part_integrand(N, k, part, [ins_t])
+            assert residue_chain(*chain) == [value], (part, ins_t)
             values.append(value)
     assert max(len(sets) for (_, _, _, sets), _ in items) >= 5
     assert any(isinstance(part, Genus0Chain) for (_, _, part, _), _ in items)
@@ -338,6 +338,34 @@ def test_genus0_chains_equal_their_path_order_chains(monkeypatch, empty_memo, ta
 ], ids=["gw_table(5,1,4)", "mirror_corrections(6,1,3)"])
 def test_extended_genus0_chains_equal_their_path_order_chains(monkeypatch, empty_memo, table):
     _genus0_chains_against_path_order(monkeypatch, table)
+
+
+@pytest.mark.parametrize("table", [
+    lambda: cy_report(3, 5), lambda: cy_report(4, 5), lambda: cy_report(5, 5),
+    lambda: gw_table(5, 1, 3),
+], ids=["cy_report(3,5)", "cy_report(4,5)", "cy_report(5,5)", "gw_table(5,1,3)"])
+def test_deferred_factors_equal_whole_integrands(monkeypatch, empty_memo, table):
+    # an insertion-free part takes each factor just before the first step that
+    # needs it; the same layouts with every factor at step 0 give the same values
+    items, _ = _planner_run(monkeypatch, table)
+    free = [(item, batch) for item, batch in items if item[3] == [()]]
+    deferred = 0
+    for (N, k, part, sets), _ in free:
+        if isinstance(part, Genus0Chain):
+            fs, steps, later = _integrand(N, k, part.degree, part.a, part.b, sets)
+        else:
+            fs, steps, later = _part_integrand(N, k, part, sets)
+        deferred += max(later) > 0
+    with monkeypatch.context() as patch:
+        patch.setattr(vsc.genus0, "integrand", whole_integrand)
+        patch.setattr(vsc.elliptic, "integrand", whole_integrand)
+        for item, batch in free:
+            assert vsc.elliptic._evaluate(item) == batch, item
+    # the insertion-free parts of gw_table(5, 1, 3) are its two cluster cores of
+    # weight 0; it has no insertion-free genus-0 chain
+    values = [value for _, batch in free for value in batch]
+    assert free and deferred > len(free) // 2
+    assert sum(value != 0 for value in values) > len(values) // 2
 
 
 @pytest.mark.parametrize("table, parts, jobs, leaves, pruned, residues", [
