@@ -31,7 +31,8 @@ ENV_VAR = "VSC_CACHE"
 # layout in u = w - z_core, residues left unreduced and stars and clusters
 # taken as products of their tail and cluster-core pieces all yield the same
 # values, so records stay right; so do tail pieces laid out on genus0.path,
-# which only reorders their denominator factors.
+# which only reorders their denominator factors, and insertion-free chains
+# whose factors enter just before the first step that needs them.
 SCHEMA = 1
 
 _DECIMAL = re.compile(r"-?[0-9]+")

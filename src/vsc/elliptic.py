@@ -118,7 +118,7 @@ def _cluster_core_terms(N: int, k: int, piece: Piece, ins_ts: list[InsT]):
     # denominator: w^N z_core^N below, -((N-1) z_core^N + (N+1) w^N)/N above;
     # the scalar -1/N goes with the cluster's.  The layout is written in
     # u = w - z_core, so the chain opens with the double pole at u = 0 and
-    # the numerator is built only to degree 1 in u.
+    # a numerator with insertions is built only to degree 1 in u.
     w = linear_form({u: 1, core: 1}, n)
     den = [(SparsePoly.variable(u, n), 2), (w, N + 1),
            (SparsePoly.variable(core, n), _core_order(N, k, piece))]

@@ -309,11 +309,10 @@ def ascending_chain(N: int, k: int, d: int, a: int, b: int, ins_ts):
 def whole_integrand(k, lead, edges, ins_ts, loops, den, steps):
     """(integrands, steps) of a layout with every factor at step 0.
 
-    genus0.integrand as it was before factors entered their chains one step
-    at a time: each set's whole numerator, capped in the opening variables
-    as the engine caps its step-0 product, over the whole denominator.  The
-    reference for the deferred factors of insertion-free parts; a test puts
-    it in place of genus0.integrand to run the engine's own layouts whole.
+    Each set's whole numerator, capped in the opening variables as
+    genus0.integrand caps a part with insertions, over the whole denominator.
+    The reference for the deferred factors of insertion-free parts; a test
+    puts it in place of genus0.integrand to run the engine's own layouts whole.
     """
     caps, opened = {}, set()
     for v, form in steps:
