@@ -152,7 +152,7 @@ def integrand(k: int, lead: SparsePoly, edges, ins_ts, loops: dict[int, int],
         return (RatExpr(num, den) for num in nums), steps, {}
 
     def entry(*ps):
-        return next((j for j, (v, _) in enumerate(steps) if any(p.degree_in(v) > 0 for p in ps)))
+        return next((j for j, (v, _) in enumerate(steps) if any(p.degree_in(v) > 0 for p in ps)), 0)
 
     one, later = SparsePoly.constant(1, n), {}
     for edge in edges:
