@@ -14,7 +14,7 @@ from .calabi_yau import cy_report
 from .elliptic import elliptic_constant
 from .genus0 import genus0_constant
 from .graphs import graphs_of_degree
-from .hypersurface import format_insertions, fraction_str, parse_insertions
+from .hypersurface import format_insertions, fraction_str, ins_key, parse_insertions
 from .pipeline import gw_table, invert_corrections, mirror_corrections
 from .series import TruncatedSeries
 
@@ -103,7 +103,7 @@ def _cmd_mirror(args):
 
 
 def _gw_json_row(row):
-    out = {"d": row.d, "ins": format_insertions(row.ins),
+    out = {"d": row.d, "ins": format_insertions(ins_key(row.ins)),
            "n1": fraction_str(row.n1), "w": fraction_str(row.w1)}
     if row.n0 is not None:
         out["n0"] = fraction_str(row.n0)

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, lcm, prod
+from math import comb, lcm, prod
 
 from .cache import ResidueCache, chain_key, graph_key
 from .chain import residue_chain
@@ -73,13 +73,11 @@ from .graphs import (
     r_factor,
     sym_factor,
 )
-from .hypersurface import Hypersurface, format_insertions, ins_key, ins_weight
+from .hypersurface import Hypersurface, InsT, format_insertions, ins_factorial, ins_weight
 from .parallel import parallel_map
 from .poly import SparsePoly, linear_form
 
 __all__ = ["elliptic_constant", "graph_residue", "graph_values"]
-
-InsT = tuple[tuple[int, int], ...]
 
 # Values of graph_values jobs, keyed (N, k, graph or Genus0Chain, p >= 2
 # insertions): every value it has computed, assembled or read from the disk
@@ -171,7 +169,7 @@ def _part_integrand(N: int, k: int, part, ins_ts: list[InsT]):
 
 
 def _selected(N: int, k: int, graph: Graph, ins_t: InsT) -> bool:
-    return Hypersurface(N, k).genus1_selection(graph.degree, dict(ins_t))
+    return Hypersurface(N, k).genus1_selection(graph.degree, ins_t)
 
 
 def _factors(N: int, k: int, graph: StarGraph | ClusterStarGraph, ins_t: InsT):
@@ -185,7 +183,7 @@ def _factors(N: int, k: int, graph: StarGraph | ClusterStarGraph, ins_t: InsT):
     if isinstance(graph, ClusterStarGraph):
         shapes.insert(0, (graph.f, 0))
     lows = [max(0, 1 - _core_order(N, k, Piece(*shape, 0))) for shape in shapes]
-    free = ins_weight(dict(ins_t)) - sum(lows)
+    free = ins_weight(ins_t) - sum(lows)
     return [(shape, low + free if len(shapes) == 1 else low, low + free)
             for shape, low in zip(shapes, lows)]
 
@@ -204,9 +202,9 @@ def _subsets(ins_t: InsT):
     radices = [2 * m + 1 for _, m in ins_t]
     for exps in product(*(range(m + 1) for _, m in ins_t)):
         code = sum(e * prod(radices[:i]) for i, e in enumerate(exps))
-        w = weight_of[code] = sum((p - 1) * e for (p, _), e in zip(ins_t, exps))
-        by_weight.setdefault(w, []).append(
-            (code, tuple((p, e) for (p, _), e in zip(ins_t, exps) if e)))
+        key = tuple((p, e) for (p, _), e in zip(ins_t, exps) if e)
+        w = weight_of[code] = ins_weight(key)
+        by_weight.setdefault(w, []).append((code, key))
     return by_weight, weight_of
 
 
@@ -275,8 +273,7 @@ def _from_pieces(N: int, k: int, graph: StarGraph | ClusterStarGraph, ins_t: Ins
         acc = new
     last = taus[-1]
     total = sum(x * last[top - a] for a, x in acc.items() if top - a in last)
-    ins_factorial = prod(factorial(m) for _, m in ins_t)
-    return scalar * Fraction(ins_factorial * total, den)
+    return scalar * Fraction(ins_factorial(ins_t) * total, den)
 
 
 def graph_residue(N: int, k: int, graph: Graph, ins_ts: list[InsT]) -> list[Fraction]:
@@ -301,7 +298,7 @@ def _evaluate(args):
 
 
 def _cache_key(N: int, k: int, part, ins_t: InsT) -> dict:
-    ins = format_insertions(dict(ins_t))
+    ins = format_insertions(ins_t)
     if isinstance(part, Genus0Chain):
         return chain_key(N, k, part.degree, part.a, part.b, ins)
     return graph_key(N, k, part.degree, part.label(), ins)
@@ -338,8 +335,7 @@ def graph_values(N: int, k: int, jobs: list[tuple[Graph | Genus0Chain, InsT]],
     series = {}
     for (_, _, part, sets), values_of_part in zip(items, computed):
         if isinstance(part, Piece):
-            series[part] = {t: value / prod(factorial(m) for _, m in t)
-                            for t, value in zip(sets, values_of_part) if value}
+            series[part] = {t: v / ins_factorial(t) for t, v in zip(sets, values_of_part) if v}
         else:
             values.update(((part, ins_t), value) for ins_t, value in zip(sets, values_of_part))
     for job in missed:
@@ -366,5 +362,5 @@ def elliptic_constant(N: int, k: int, d: int,
     mult, ins = X.split_insertions(d, ins)
     if not mult or not X.genus1_selection(d, ins):
         return Fraction(0)
-    jobs = [(graph, ins_key(ins)) for graph in graphs_of_degree(d)]
+    jobs = [(graph, ins) for graph in graphs_of_degree(d)]
     return mult * sum(graph_values(N, k, jobs, cache, workers), Fraction(0))

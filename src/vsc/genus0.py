@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chain import residue_chain
-from .hypersurface import Hypersurface, ins_count, ins_key
+from .hypersurface import Hypersurface, ins_key
 from .poly import Rows, SparsePoly, binary_form, linear_form
 from .ratfun import RatExpr
 
@@ -194,14 +194,11 @@ def genus0_constant(N: int, k: int, d: int, a: int, b: int,
         raise ValueError("slot powers must lie in -1..N-2")
     mult, rest = X.split_insertions(d, ins)
     if d == 0:
-        if ins_count(ins) != 1:
-            return Fraction(0)
-        (c, _), = ins_key(ins)
-        return Fraction(k) if a + b + c == N - 2 else Fraction(0)
+        return Fraction(k) if ins_key(ins) == ((N - 2 - a - b, 1),) else Fraction(0)
     if not mult or not X.genus0_selection(d, a, b, rest):
         return Fraction(0)
     from .elliptic import graph_values  # the planner's module imports this one
-    return mult * graph_values(N, k, [(Genus0Chain(d, a, b), ins_key(rest))], cache)[0]
+    return mult * graph_values(N, k, [(Genus0Chain(d, a, b), rest)], cache)[0]
 
 
 def chain_residue(N: int, k: int, chain: Genus0Chain, ins_ts) -> list[Fraction]:

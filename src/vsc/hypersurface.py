@@ -4,12 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
-__all__ = ["Hypersurface", "ins_key", "ins_weight", "ins_count", "parse_insertions",
-           "format_insertions"]
+__all__ = ["Hypersurface", "Ins", "InsT", "ins_key", "ins_weight", "ins_factorial",
+           "parse_insertions", "format_insertions"]
 
+# An insertion multiset {p: m_p} at the edges (arguments, parsed text, table
+# rows); inside the engine always its canonical tuple, the one ins_key returns.
 Ins = dict[int, int]
+InsT = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -40,8 +43,8 @@ class Hypersurface:
         """Coefficient L in the universal genus-1 linear term -(1/24) L x^1."""
         return self.k * self.chern_coeff(self.N - 3)
 
-    def split_insertions(self, d: int, ins: Ins | None) -> tuple[Fraction, Ins]:
-        """(factor of the p <= 1 insertions, the p >= 2 ones) of a degree-d constant.
+    def split_insertions(self, d: int, ins: Ins | None) -> tuple[Fraction, InsT]:
+        """(factor of the p <= 1 insertions, the key of the p >= 2 ones) of a degree-d constant.
 
         Zero counts are dropped, no count may be negative, and every power
         must lie in 0..N-2.  A p = 0 insertion makes the factor 0; each p = 1
@@ -52,35 +55,38 @@ class Hypersurface:
             raise ValueError("insertion counts must be >= 0")
         if any(p < 0 or p > self.N - 2 for p in ins):
             raise ValueError("insertion powers must lie in 0..N-2")
-        return (Fraction(0) if ins.pop(0, 0) else Fraction(d) ** ins.pop(1, 0)), ins
+        return (Fraction(0) if ins.pop(0, 0) else Fraction(d) ** ins.pop(1, 0)), ins_key(ins)
 
-    # -- selection rules ------------------------------------------------------
+    # -- selection rules: the weight sum_p (p-1) m_p a degree-d constant needs --
 
-    def genus0_selection(self, d: int, a: int, b: int, ins: Ins) -> bool:
-        return a + b + ins_weight(ins) == self.N - 3 + (self.N - self.k) * d
+    def genus0_weight(self, d: int, a: int, b: int) -> int:
+        """The weight of w(O_{h^a} O_{h^b} | ins)_{0,d}: N - 3 - a - b + (N-k) d."""
+        return self.N - 3 - a - b + self.genus1_weight(d)
 
-    def genus1_selection(self, d: int, ins: Ins) -> bool:
-        return ins_weight(ins) == (self.N - self.k) * d
+    def genus1_weight(self, d: int) -> int:
+        """The weight of w(ins)_{1,d}: (N-k) d."""
+        return (self.N - self.k) * d
+
+    def genus0_selection(self, d: int, a: int, b: int, ins: InsT) -> bool:
+        return ins_weight(ins) == self.genus0_weight(d, a, b)
+
+    def genus1_selection(self, d: int, ins: InsT) -> bool:
+        return ins_weight(ins) == self.genus1_weight(d)
 
 
-def ins_key(ins: Ins | None) -> tuple[tuple[int, int], ...]:
+def ins_key(ins: Ins | None) -> InsT:
     """Canonical hashable form of an insertion multiset, zero counts dropped."""
-    if not ins:
-        return ()
-    return tuple(sorted((p, m) for p, m in ins.items() if m))
+    return tuple(sorted((p, m) for p, m in (ins or {}).items() if m))
 
 
-def ins_weight(ins: Ins | None) -> int:
+def ins_weight(ins: InsT) -> int:
     """Total weight sum_p (p-1) m_p entering the selection rules."""
-    if not ins:
-        return 0
-    return sum((p - 1) * m for p, m in ins.items())
+    return sum((p - 1) * m for p, m in ins)
 
 
-def ins_count(ins: Ins | None) -> int:
-    if not ins:
-        return 0
-    return sum(ins.values())
+def ins_factorial(ins: InsT) -> int:
+    """prod_p m_p!, the symmetry factor of an insertion multiset."""
+    return prod(factorial(m) for _, m in ins)
 
 
 def parse_insertions(text: str) -> Ins:
@@ -101,8 +107,9 @@ def parse_insertions(text: str) -> Ins:
     return out
 
 
-def format_insertions(ins: Ins | None) -> str:
-    return ",".join(f"{p}:{m}" for p, m in ins_key(ins))
+def format_insertions(ins: InsT) -> str:
+    """The text "p:m,p:m" of a key, as parse_insertions reads it."""
+    return ",".join(f"{p}:{m}" for p, m in ins)
 
 
 def fraction_str(x: Fraction) -> str:

@@ -12,62 +12,53 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from operator import mul
 
 # elliptic_constant is unused here; perfbench/tracer.py wraps it under this name.
 from .elliptic import elliptic_constant, graph_values  # noqa: F401
 from .genus0 import Genus0Chain, genus0_constant
 from .graphs import graphs_of_degree
-from .hypersurface import Hypersurface, ins_key
+from .hypersurface import Hypersurface, Ins, InsT, ins_factorial, ins_key
 from .series import TruncatedSeries, substitute
 
 __all__ = ["weighted_insertions", "mirror_corrections", "invert_corrections",
            "genus0_pair_series", "GwRow", "gw_table"]
 
-Ins = dict[int, int]
-
 
 def weighted_insertions(N: int, weight: int) -> list[Ins]:
     """All insertion multisets {a: m_a} over a = 2..N-2 with sum (a-1) m_a = weight.
 
-    Ordered by increasing m_2, then m_3, and so on.
+    Ordered by increasing m_2, then m_3, and so on: the counts below the
+    last slot a = N-2 run in product order, and the weight they leave fixes
+    its count, so the product never walks the last slot's range.
     """
-    slots = list(range(2, N - 1))
-    out: list[Ins] = []
-
-    def rec(i: int, rem: int, cur: Ins):
-        if i == len(slots):
-            if rem == 0:
-                out.append(dict(cur))
-            return
-        a = slots[i]
-        for m in range(rem // (a - 1) + 1):
-            if m:
-                cur[a] = m
-            rec(i + 1, rem - (a - 1) * m, cur)
-        cur.pop(a, None)
-
-    if weight >= 0:
-        rec(0, weight, {})
-    return out
+    if N == 3:  # no slots
+        return [{}] if weight == 0 else []
+    slots, c = range(2, N - 1), N - 3  # c: the last slot's a - 1
+    return [{a: m for a, m in zip(slots, (*ms, rest // c)) if m}
+            for ms in product(*(range(weight // (a - 1) + 1) for a in slots[:-1]))
+            if (rest := weight - sum(map(mul, ms, range(1, c)))) >= 0 and rest % c == 0]
 
 
-def _exps(N: int, ins: Ins) -> tuple[int, ...]:
-    return tuple(ins.get(a, 0) for a in range(2, N - 1))
+def _exps(N: int, ins: InsT) -> tuple[int, ...]:
+    counts = dict(ins)
+    return tuple(counts.get(a, 0) for a in range(2, N - 1))
 
 
-def _sym(ins: Ins) -> int:
-    out = 1
-    for m in ins.values():
-        out *= factorial(m)
-    return out
+def _constant_sets(N: int, k: int, q_cap: int, *slots: int) -> list[tuple[int, InsT]]:
+    # (d, p >= 2 insertions) of every constant of degree d <= q_cap that meets
+    # its selection rule: w(O_{h^a} O_{h^b} | ins)_{0,d} for slots a, b, else w(ins)_{1,d}
+    X = Hypersurface(N, k)
+    weight = (lambda d: X.genus0_weight(d, *slots)) if slots else X.genus1_weight
+    return [(d, ins_key(ins)) for d in range(1, q_cap + 1)
+            for ins in weighted_insertions(N, weight(d))]
 
 
-def _constant_sets(N: int, k: int, q_cap: int, a: int, b: int) -> list[tuple[int, Ins]]:
-    # (d, insertions) of every w(O_{h^a} O_{h^b} | ins)_{0,d}, d <= q_cap, with
-    # p >= 2 insertions that meet the selection rule
-    return [(d, ins) for d in range(1, q_cap + 1)
-            for ins in weighted_insertions(N, N - 3 - a - b + (N - k) * d)]
+def _chain_jobs(N: int, k: int, q_cap: int, slots) -> list[tuple[Genus0Chain, InsT]]:
+    # the genus-0 chain jobs of the constants of _constant_sets, for each slot pair
+    return [(Genus0Chain(d, a, b), ins) for a, b in slots
+            for d, ins in _constant_sets(N, k, q_cap, a, b)]
 
 
 def mirror_corrections(N: int, k: int, q_cap: int, cache=None,
@@ -79,8 +70,7 @@ def mirror_corrections(N: int, k: int, q_cap: int, cache=None,
     are the coordinates the inversion needs; their chains are one planner call.
     """
     Hypersurface(N, k)
-    graph_values(N, k, [(Genus0Chain(d, a, 0), ins_key(ins)) for a in range(N - 2)
-                        for d, ins in _constant_sets(N, k, q_cap, a, 0)], cache, workers)
+    graph_values(N, k, _chain_jobs(N, k, q_cap, [(a, 0) for a in range(N - 2)]), cache, workers)
     return {p: genus0_pair_series(N, k, q_cap, N - 2 - p, 0).scale(Fraction(1, k))
             for p in range(1, N - 1)}
 
@@ -114,21 +104,18 @@ def _genus1_b(N, k, q_cap, cache, workers, chains=()):
     # and has no p <= 1 insertion, so its constant is the bare graph sum; all
     # graph residues of the table go through one graph_values call, and the
     # genus-0 chain jobs a caller passes in ride along on it.
-    Hypersurface(N, k)
-    sets = [(d, ins) for d in range(1, q_cap + 1)
-            for ins in weighted_insertions(N, (N - k) * d)]
+    sets = _constant_sets(N, k, q_cap)
     jobs, owner = [], []
     for i, (d, ins) in enumerate(sets):
         for graph in graphs_of_degree(d):
-            jobs.append((graph, ins_key(ins)))
+            jobs.append((graph, ins))
             owner.append(i)
     values = graph_values(N, k, [*chains, *jobs], cache, workers)[len(chains):]
     sums = [Fraction(0)] * len(sets)
     for i, value in zip(owner, values):
         sums[i] += value
-    terms = {(d, _exps(N, ins)): val / _sym(ins) for (d, ins), val in zip(sets, sums)}
-    raw = {(d, ins_key(ins)): val for (d, ins), val in zip(sets, sums)}
-    return TruncatedSeries(N - 3, q_cap, terms), raw
+    terms = {(d, _exps(N, ins)): val / ins_factorial(ins) for (d, ins), val in zip(sets, sums)}
+    return TruncatedSeries(N - 3, q_cap, terms), dict(zip(sets, sums))
 
 
 def genus0_pair_series(N: int, k: int, q_cap: int, a: int, b: int) -> TruncatedSeries:
@@ -137,7 +124,7 @@ def genus0_pair_series(N: int, k: int, q_cap: int, a: int, b: int) -> TruncatedS
     The classical piece k x^{N-2-a-b} is again left to the caller.
     """
     return TruncatedSeries(N - 3, q_cap, {
-        (d, _exps(N, ins)): genus0_constant(N, k, d, a, b, ins) / _sym(ins)
+        (d, _exps(N, ins)): genus0_constant(N, k, d, a, b, dict(ins)) / ins_factorial(ins)
         for d, ins in _constant_sets(N, k, q_cap, a, b)})
 
 
@@ -172,9 +159,7 @@ def gw_table(N: int, k: int, d_max: int, cache=None, workers: int = 1) -> list[G
     # genus-0 chains of the mirror map and of the N = 5 pair series land in
     # elliptic.memo, where the genus0_constant calls below read them.
     slots = [(N - 2 - p, 0) for p in range(1, N - 1)] + ([(1, 1)] if N == 5 else [])
-    chains = [(Genus0Chain(d, a, b), ins_key(ins)) for a, b in slots
-              for d, ins in _constant_sets(N, k, q_cap, a, b)]
-    f1b, w1_raw = _genus1_b(N, k, q_cap, cache, workers, chains)
+    f1b, w1_raw = _genus1_b(N, k, q_cap, cache, workers, _chain_jobs(N, k, q_cap, slots))
     D = invert_corrections(mirror_corrections(N, k, q_cap))
     pair = [genus0_pair_series(N, k, q_cap, 1, 1)] if N == 5 else []
     f1a, *a11 = substitute([f1b, *pair], D)
@@ -182,16 +167,15 @@ def gw_table(N: int, k: int, d_max: int, cache=None, workers: int = 1) -> list[G
     if N == 5:
         a11 = a11[0] + D[1].scale(k)
     rows = []
-    for d in range(1, d_max + 1):
-        for ins in weighted_insertions(N, (N - k) * d):
-            sym = _sym(ins)
-            n1 = f1a.coefficient(d, _exps(N, ins)) * sym
-            row = GwRow(d=d, ins=ins, n1=n1, w1=w1_raw[(d, ins_key(ins))])
-            if N == 4:
-                row.n1_norm = n1 / Fraction(k) ** ins.get(2, 0)
-            else:
-                n0 = a11.coefficient(d, _exps(N, ins)) * sym / Fraction(d * d)
-                row.n0 = n0
-                row.combo = Fraction((N - k) * d - 2, 24) * n0 + n1
-            rows.append(row)
+    for (d, ins), w1 in w1_raw.items():  # one per genus-1 set, in _constant_sets order
+        sym = ins_factorial(ins)
+        n1 = f1a.coefficient(d, _exps(N, ins)) * sym
+        row = GwRow(d=d, ins=dict(ins), n1=n1, w1=w1)
+        if N == 4:
+            row.n1_norm = n1 / Fraction(k) ** row.ins.get(2, 0)
+        else:
+            n0 = a11.coefficient(d, _exps(N, ins)) * sym / Fraction(d * d)
+            row.n0 = n0
+            row.combo = Fraction(X.genus1_weight(d) - 2, 24) * n0 + n1
+        rows.append(row)
     return rows

@@ -165,8 +165,8 @@ class RatExpr:
     def reduce(self) -> RatExpr:
         """Cancel denominator factors of total degree 1 that divide the numerator.
 
-        Only ``as_fraction`` calls it, for a hand-built expression whose
-        denominator has not cancelled; the residue chain never divides.
+        The residue chain never divides; the tests' oracles call it, and
+        perfbench/tracer.py wraps it.
         """
         num = self.num
         if num.is_zero():
@@ -190,12 +190,6 @@ class RatExpr:
         for f, e in self.den:
             d -= e * f.homogeneous_degree()
         return d
-
-    def as_fraction(self) -> Fraction:
-        r = self if not self.den else self.reduce()
-        if r.den:
-            raise ValueError("expression is not a constant")
-        return r.num.constant_value()
 
     def __repr__(self) -> str:
         if not self.den:

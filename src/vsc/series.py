@@ -48,10 +48,6 @@ class TruncatedSeries:
         return cls(nblocks, q_cap, {(0, (0,) * nblocks): Fraction(value)})
 
     @classmethod
-    def block(cls, index: int, nblocks: int, q_cap: int) -> "TruncatedSeries":
-        return cls(nblocks, q_cap, {(0, tuple(int(a == index) for a in range(nblocks))): 1})
-
-    @classmethod
     def q_power(cls, d: int, nblocks: int, q_cap: int) -> "TruncatedSeries":
         return cls(nblocks, q_cap, {(d, (0,) * nblocks): Fraction(1)})
 

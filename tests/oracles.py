@@ -64,6 +64,12 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.nblocks, a.q_cap, out)
 
 
+def block_series(index: int, nblocks: int, q_cap: int) -> TruncatedSeries:
+    """The block variable x^{index + 2} as a series."""
+    exps = tuple(int(a == index) for a in range(nblocks))
+    return TruncatedSeries(nblocks, q_cap, {(0, exps): 1})
+
+
 def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """a + b term by term over (d, exps) keys."""
     out = dict(a.items())
@@ -214,6 +220,37 @@ def expanded_den(f: RatExpr) -> SparsePoly:
 def equals(f: RatExpr, g: RatExpr) -> bool:
     """f == g as rational functions, by cross-multiplying expanded denominators."""
     return f.num * expanded_den(g) == g.num * expanded_den(f)
+
+
+def as_fraction(f: RatExpr) -> Fraction:
+    """The value of an expression that is a constant once its linear factors cancel."""
+    r = f.reduce() if f.den else f
+    if r.den:
+        raise ValueError("expression is not a constant")
+    return r.num.constant_value()
+
+
+def weighted_insertions_by_recursion(N: int, weight: int) -> list[dict[int, int]]:
+    """pipeline.weighted_insertions slot by slot: the counts m_2, m_3, ... in turn,
+    each over every value the weight left allows, a set at the last slot."""
+    slots = list(range(2, N - 1))
+    out: list[dict[int, int]] = []
+
+    def rec(i: int, rem: int, cur: dict[int, int]):
+        if i == len(slots):
+            if rem == 0:
+                out.append(dict(cur))
+            return
+        a = slots[i]
+        for m in range(rem // (a - 1) + 1):
+            if m:
+                cur[a] = m
+            rec(i + 1, rem - (a - 1) * m, cur)
+        cur.pop(a, None)
+
+    if weight >= 0:
+        rec(0, weight, {})
+    return out
 
 
 def genus0_direct(N: int, k: int, d: int, a: int, b: int,
@@ -421,7 +458,7 @@ def _whole_cluster(N, k, f, sigma, ins_ts):
 
 def whole_graph_residue(N: int, k: int, graph, ins_t) -> Fraction:
     """The value of a (graph, set) job from its whole-graph chain; 0 off the selection rule."""
-    if not Hypersurface(N, k).genus1_selection(graph.degree, dict(ins_t)):
+    if not Hypersurface(N, k).genus1_selection(graph.degree, ins_t):
         return Fraction(0)
     return residue_chain(*whole_graph_integrand(N, k, graph, [ins_t]))[0]
 

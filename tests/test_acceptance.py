@@ -147,13 +147,21 @@ def test_quintic_genus_one_identities():
     _report(f"quintic loop/log-Ltilde series and identity d<=3 ({elapsed:.1f}s)", ok)
 
 
+# Gopakumar-Vafa numbers of the quintic, d = 1..10: n0 from Candelas-de la
+# Ossa-Green-Parkes, n1 from BCOV (hep-th/9309140)
+QUINTIC_N0 = [2875, 609250, 317206375, 242467530000, 229305888887625, 248249742118022000,
+              295091050570845659250, 375632160937476603550000,
+              503840510416985243645106250, 704288164978454686113488249750]
+QUINTIC_N1 = [0, 0, 609250, 3721431625, 12129909700200, 31147299733286500,
+              71578406022880761750, 154990541752961568418125,
+              324064464310279585657008750, 662863774391414096742406576300]
+
+
 def test_quintic_gopakumar_vafa_numbers():
-    # the A-model side of the quintic through d = 6 (Candelas-de la Ossa-Green-Parkes;
-    # BCOV), read off the B-model series through the mirror map
+    # the A-model side of the quintic through d = 6, read off the B-model
+    # series through the mirror map
     n0, n1 = quintic_gopakumar_vafa(6)
-    ok = n0 == [2875, 609250, 317206375, 242467530000, 229305888887625,
-                248249742118022000]
-    ok = ok and n1 == [0, 0, 609250, 3721431625, 12129909700200, 31147299733286500]
+    ok = n0 == QUINTIC_N0[:6] and n1 == QUINTIC_N1[:6]
     # Gopakumar-Vafa numbers are integers
     ok = ok and all(n.denominator == 1 for n in n0 + n1)
     _report("quintic n0 and n1 through d=6 match Gopakumar-Vafa literature values", ok)
@@ -161,18 +169,15 @@ def test_quintic_gopakumar_vafa_numbers():
 
 @pytest.mark.extended
 def test_extended_quintic_high_degrees():
-    # d = 7 .. 10 of the same tables (n0 from Candelas-de la Ossa-Green-Parkes,
-    # n1 from BCOV, hep-th/9309140); this also inverts the mirror map at q_cap 10
+    # d = 7 .. 10 of the same tables, and d = 11, 12 integral; this also
+    # inverts the mirror map at q_cap 12
     t0 = time.monotonic()
-    n0, n1 = quintic_gopakumar_vafa(10)
+    n0, n1 = quintic_gopakumar_vafa(12)
     elapsed = time.monotonic() - t0
-    ok = n0[6:] == [295091050570845659250, 375632160937476603550000,
-                    503840510416985243645106250, 704288164978454686113488249750]
-    ok = ok and n1[6:] == [71578406022880761750, 154990541752961568418125,
-                           324064464310279585657008750, 662863774391414096742406576300]
+    ok = n0[:10] == QUINTIC_N0 and n1[:10] == QUINTIC_N1
     ok = ok and all(n.denominator == 1 for n in n0 + n1)
-    _report(f"quintic n0 and n1 at d=7..10 match Gopakumar-Vafa literature values "
-            f"({elapsed:.1f}s)", ok)
+    _report(f"quintic n0 and n1 at d=7..10 match Gopakumar-Vafa literature values, "
+            f"integral to d=12 ({elapsed:.1f}s)", ok)
 
 
 # -- property suite ----------------------------------------------------------
@@ -183,7 +188,7 @@ def test_cluster_vanishing_on_calabi_yau():
     cluster_graphs = [g for g in graphs_of_degree(4) if isinstance(g, ClusterStarGraph)]
     ok = True
     for N in (4, 5):
-        assert Hypersurface(N, N).genus1_selection(4, {})
+        assert Hypersurface(N, N).genus1_selection(4, ())
         for g in cluster_graphs:
             (f,), steps = whole_graph_integrand(N, N, g, [()])
             assert not f.is_zero(), g
@@ -385,7 +390,7 @@ def test_extended_threefold_degree_six():
 
 
 @pytest.mark.extended
-@pytest.mark.parametrize("k", range(3, 9))
+@pytest.mark.parametrize("k", range(3, 11))
 def test_extended_loop_identity_high_degree(k):
     r = cy_report(k, 10)
     checks = r.identities()

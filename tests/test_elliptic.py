@@ -19,7 +19,7 @@ from vsc.graphs import (
     graphs_of_degree,
 )
 from vsc.hypersurface import ins_key
-from vsc.pipeline import weighted_insertions
+from vsc.pipeline import _constant_sets, weighted_insertions
 from vsc.ratfun import RatExpr
 
 from oracles import (cluster_by_halves, reduced_graph_residue, whole_graph_integrand,
@@ -138,6 +138,21 @@ def test_calabi_yau_loops_equal_their_even_vertices_first_chains(N):
         order = [*range(0, d, 2), *range(1, d, 2)]
         (value,) = graph_residue(N, N, LoopGraph(d), [()])
         assert residue_chain(*whole_loop(N, N, d, [()], order)) == [value] != [0], (N, d)
+
+
+@pytest.mark.parametrize("N, k, dmax", [(5, 1, 4), (4, 1, 5)])
+def test_loops_with_insertions_equal_their_even_vertices_first_chains(N, k, dmax):
+    # every loop item of gw_table(N, k, dmax), all its insertion sets at once,
+    # against the same loop over whole numerators eliminated even vertices first
+    jobs = [(g, ins) for d, ins in _constant_sets(N, k, dmax) for g in graphs_of_degree(d)]
+    loops = [(part, sorted(sets)) for part, sets in _plan(N, k, jobs).items()
+             if isinstance(part, LoopGraph)]
+    assert sorted(loop.d for loop, _ in loops) == list(range(2, dmax + 1))
+    for loop, sets in loops:
+        order = [*range(0, loop.d, 2), *range(1, loop.d, 2)]
+        values = graph_residue(N, k, loop, sets)
+        assert residue_chain(*whole_loop(N, k, loop.d, sets, order)) == values, loop
+        assert any(values), loop
 
 
 def _star_and_cluster_jobs(N, k, dmax):

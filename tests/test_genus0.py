@@ -9,13 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vsc import genus0
-from vsc.calabi_yau import _loop_weights
 from vsc.chain import residue_chain, root_in_var
 from vsc.elliptic import Piece, _part_integrand, _plan, elliptic_constant
 from vsc.genus0 import _integrand, e_poly, genus0_constant, numerator, w_poly
 from vsc.graphs import ClusterStarGraph, LoopGraph, PointGraph, StarGraph, graphs_of_degree
-from vsc.hypersurface import ins_key
-from vsc.pipeline import _constant_sets, weighted_insertions
+from vsc.pipeline import _constant_sets
 from vsc.poly import SparsePoly, linear_form
 from vsc.ratfun import RatExpr
 
@@ -140,37 +138,43 @@ def test_numerator_matches_literal_product(data):
 
 def _capped_builds(N, k, dmax, families):
     # every genus-0 job (both slot orders) and every graph job of the given
-    # families of gw_table(N, k, dmax), or of cy_report(k, dmax) when N = k,
-    # as integrand builders; a star or cluster job as the pieces it reads
-    slots = ([(k - 2 - m, m - 1) for m in sorted({0, 1, *_loop_weights(k)})] if N == k else
-             [(N - 2 - p, 0) for p in range(1, N - 1)] + ([(1, 1)] if N == 5 else []))
-    builds = [functools.partial(_integrand, N, k, d, *ends, [ins_key(ins)])
-              for a, b in slots for d, ins in _constant_sets(N, k, dmax, a, b)
+    # families of gw_table(N, k, dmax) that carries insertions, as integrand
+    # builders; a star or cluster job as the pieces it reads
+    slots = [(N - 2 - p, 0) for p in range(1, N - 1)] + ([(1, 1)] if N == 5 else [])
+    builds = [functools.partial(_integrand, N, k, d, *ends, [ins])
+              for a, b in slots for d, ins in _constant_sets(N, k, dmax, a, b) if ins
               for ends in ((a, b), (b, a))]
-    jobs = [(g, ins_key(ins)) for d in range(1, dmax + 1)
-            for ins in weighted_insertions(N, (N - k) * d)
+    jobs = [(g, ins) for d, ins in _constant_sets(N, k, dmax)
             for g in graphs_of_degree(d) if isinstance(g, families)]
     builds += [functools.partial(_part_integrand, N, k, part, [ins_t])
-               for part, sets in _plan(N, k, jobs).items() for ins_t in sorted(sets)]
+               for part, sets in _plan(N, k, jobs).items() for ins_t in sorted(sets) if ins_t]
     return builds
 
 
 def test_capped_numerators_give_the_same_chain_values(monkeypatch):
-    # N = k clusters all vanish, so only Fano clusters count towards the nonzero share
-    builds = [b for job in [(5, 1, 3), (5, 2, 3), (4, 1, 4)]
+    # parts with insertions build their whole numerator through numerator,
+    # capped in the opening variables; genus-0 chains and tails open with two
+    # caps, z_0 and z_d or the core and the tail's end
+    builds = [b for job in [(5, 1, 3), (5, 2, 3), (5, 3, 3), (4, 1, 4), (4, 2, 4)]
               for b in _capped_builds(*job, (StarGraph, PointGraph, ClusterStarGraph))]
-    builds += _capped_builds(5, 5, 4, (StarGraph, PointGraph))
-    capped = [build() for build in builds]
-    both_capped = numerator
 
     def first_cap_only(k, lead, edges, ins_ts, loops, caps=None):
         first = dict(list(caps.items())[:1]) if caps else caps
-        return both_capped(k, lead, edges, ins_ts, loops, first)
+        return numerator(k, lead, edges, ins_ts, loops, first)
 
-    monkeypatch.setattr(genus0, "numerator", first_cap_only)
-    first = [build() for build in builds]
-    monkeypatch.setattr(genus0, "numerator", uncapped_numerator)
-    full = [build() for build in builds]
+    def build_all(variant):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return variant(*args)
+
+        monkeypatch.setattr(genus0, "numerator", counted)
+        built = [build() for build in builds]
+        assert len(calls) == len(builds)
+        return built
+
+    capped, first, full = map(build_all, (numerator, first_cap_only, uncapped_numerator))
     smaller = smaller_than_first = nonzero = 0
     for ((f,), steps, later), ((h,), _, _), ((g,), _, _) in zip(capped, first, full):
         (value,) = residue_chain([f], steps, later)

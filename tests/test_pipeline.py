@@ -8,7 +8,7 @@ from vsc.pipeline import (GwRow, _genus1_b, genus0_pair_series, gw_table,
                           weighted_insertions)
 from vsc.series import TruncatedSeries, substitute
 
-from oracles import full_precision_inversion
+from oracles import full_precision_inversion, weighted_insertions_by_recursion
 
 
 def test_weighted_insertions_small():
@@ -18,6 +18,15 @@ def test_weighted_insertions_small():
     assert weighted_insertions(5, -1) == []
     # slots 2..6 carry weights 1..5, so this counts partitions of 5
     assert len(weighted_insertions(8, 5)) == 7
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_weighted_insertions_equal_the_recursion(N):
+    # the same multisets in the same order, and each dict's keys in slot order
+    for weight in range(-1, 13):
+        want = weighted_insertions_by_recursion(N, weight)
+        got = weighted_insertions(N, weight)
+        assert got == want and [list(ins) for ins in got] == [list(ins) for ins in want]
 
 
 # known mirror map coefficients, one tuple per degree

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from vsc.series import TruncatedSeries, substitute
 
-from oracles import series_add, series_mul
+from oracles import block_series, series_add, series_mul
 from strategies import bounded_fractions
 
 
@@ -17,7 +17,7 @@ def test_constructors_and_coefficients():
     # beyond the cap is silently dropped
     assert s.coefficient(4, (0,)) == 0
     assert TruncatedSeries.constant(7, 2, 1).coefficient(0) == 7
-    b = TruncatedSeries.block(1, 2, 1)
+    b = block_series(1, 2, 1)
     assert b.coefficient(0, (0, 1)) == 1
 
 
@@ -48,7 +48,7 @@ def test_arithmetic():
 
 def test_mul_truncates_in_q_only():
     # block exponents are exact; only q degrees above the cap drop out
-    x = TruncatedSeries.block(0, 1, 1)
+    x = block_series(0, 1, 1)
     q = TruncatedSeries.q_power(1, 1, 1)
     p = (x + q) * (x + q)
     assert p.coefficient(0, (2,)) == 1
@@ -76,7 +76,7 @@ def test_exp_log_normalization_errors():
         TruncatedSeries.zero(0, 3).inverse()
     # block content at q^0 blocks the inverse
     with pytest.raises(ValueError):
-        (TruncatedSeries.constant(1, 1, 3) + TruncatedSeries.block(0, 1, 3)).inverse()
+        (TruncatedSeries.constant(1, 1, 3) + block_series(0, 1, 3)).inverse()
 
 
 def test_inverse_geometric():
@@ -175,7 +175,7 @@ def _literal_substitute(f, shift):
         power = series_mul(power, shift[1].scale(Fraction(1, j)))
         exp_d1 = series_add(exp_d1, power)
     values = [series_mul(TruncatedSeries.q_power(1, nblocks, cap), exp_d1)]
-    values += [series_add(TruncatedSeries.block(a, nblocks, cap), shift[a + 2])
+    values += [series_add(block_series(a, nblocks, cap), shift[a + 2])
                for a in range(nblocks)]
     out = TruncatedSeries.zero(nblocks, cap)
     for (d, exps), c in f.items():
