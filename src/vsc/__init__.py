@@ -2,7 +2,6 @@
 projective hypersurfaces, with mirror maps and Gromov-Witten extraction."""
 
 from .calabi_yau import CyReport, cy_report, ltilde
-from .cache import ResidueCache
 from .elliptic import elliptic_constant
 from .genus0 import genus0_constant
 from .hypersurface import Hypersurface
@@ -13,7 +12,7 @@ from .series import TruncatedSeries, substitute
 
 __all__ = [
     "SparsePoly", "linear_form", "RatExpr", "NonLinearPoleError",
-    "Hypersurface", "ResidueCache", "TruncatedSeries", "substitute",
+    "Hypersurface", "TruncatedSeries", "substitute",
     "genus0_constant", "elliptic_constant",
     "mirror_corrections", "invert_corrections", "GwRow", "gw_table",
     "CyReport", "cy_report", "ltilde",

@@ -59,8 +59,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, lcm, prod
+from typing import TYPE_CHECKING
 
-from .cache import ResidueCache, chain_key, graph_key
 from .chain import residue_chain
 from .genus0 import Genus0Chain, chain_residue, integrand, midpoint, path
 from .graphs import (
@@ -76,6 +76,8 @@ from .graphs import (
 from .hypersurface import Hypersurface, InsT, format_insertions, ins_factorial, ins_weight
 from .parallel import parallel_map
 from .poly import SparsePoly, linear_form
+if TYPE_CHECKING:
+    from .cache import ResidueCache
 
 __all__ = ["elliptic_constant", "graph_residue", "graph_values"]
 
@@ -298,6 +300,7 @@ def _evaluate(args):
 
 
 def _cache_key(N: int, k: int, part, ins_t: InsT) -> dict:
+    from .cache import chain_key, graph_key  # only a run with a disk cache loads it
     ins = format_insertions(ins_t)
     if isinstance(part, Genus0Chain):
         return chain_key(N, k, part.degree, part.a, part.b, ins)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from operator import mul
 
@@ -46,13 +47,14 @@ def _exps(N: int, ins: InsT) -> tuple[int, ...]:
     return tuple(counts.get(a, 0) for a in range(2, N - 1))
 
 
-def _constant_sets(N: int, k: int, q_cap: int, *slots: int) -> list[tuple[int, InsT]]:
+@lru_cache(maxsize=None)
+def _constant_sets(N: int, k: int, q_cap: int, *slots: int) -> tuple[tuple[int, InsT], ...]:
     # (d, p >= 2 insertions) of every constant of degree d <= q_cap that meets
     # its selection rule: w(O_{h^a} O_{h^b} | ins)_{0,d} for slots a, b, else w(ins)_{1,d}
     X = Hypersurface(N, k)
     weight = (lambda d: X.genus0_weight(d, *slots)) if slots else X.genus1_weight
-    return [(d, ins_key(ins)) for d in range(1, q_cap + 1)
-            for ins in weighted_insertions(N, weight(d))]
+    return tuple((d, ins_key(ins)) for d in range(1, q_cap + 1)
+                 for ins in weighted_insertions(N, weight(d)))
 
 
 def _chain_jobs(N: int, k: int, q_cap: int, slots) -> list[tuple[Genus0Chain, InsT]]:

@@ -170,14 +170,18 @@ def test_quintic_gopakumar_vafa_numbers():
 @pytest.mark.extended
 def test_extended_quintic_high_degrees():
     # d = 7 .. 10 of the same tables, and d = 11, 12 integral; this also
-    # inverts the mirror map at q_cap 12
+    # inverts the mirror map at q_cap 12.  The five identities of the report
+    # it builds, cy_report(5, 12), then hold to d = 12 (its graph values come
+    # from the in-process memo)
     t0 = time.monotonic()
     n0, n1 = quintic_gopakumar_vafa(12)
     elapsed = time.monotonic() - t0
     ok = n0[:10] == QUINTIC_N0 and n1[:10] == QUINTIC_N1
     ok = ok and all(n.denominator == 1 for n in n0 + n1)
+    identities = cy_report(5, 12).identities()
+    ok = ok and len(identities) == 5 and all(identities.values())
     _report(f"quintic n0 and n1 at d=7..10 match Gopakumar-Vafa literature values, "
-            f"integral to d=12 ({elapsed:.1f}s)", ok)
+            f"integral to d=12 ({elapsed:.1f}s), genus-1 identities at d<=12", ok)
 
 
 # -- property suite ----------------------------------------------------------

@@ -142,3 +142,54 @@ def test_benchmark_workload_layers_fire(tmp_path, workload):
     fired = json.loads(proc.stdout.splitlines()[-1])
     missing = set(benchmark_expected_layers()[workload]) - set(fired)
     assert not missing, f"layers that did not fire: {sorted(missing)}"
+
+
+IMPORTS_SCRIPT = """
+import json, sys
+sys.path[:0] = sys.argv[1:2]
+before = set(sys.modules)
+import vsc
+added = sorted(set(sys.modules) - before)
+import vsc.cli
+print(json.dumps({"added": added, "cli_cache": "vsc.cache" in sys.modules}))
+"""
+
+
+def test_import_loads_no_pool_and_no_cache():
+    # `import vsc` loads only what every run uses: the process pool and the
+    # disk cache's hashing arrive with the first run that needs them, while
+    # the CLI, which may open a cache in any command, loads the cache up front
+    proc = subprocess.run([sys.executable, "-c", IMPORTS_SCRIPT, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert "vsc.parallel" in out["added"]
+    loaded = {"concurrent.futures", "hashlib", "vsc.cache"} & set(out["added"])
+    assert not loaded, f"import vsc loaded {sorted(loaded)}"
+    assert out["cli_cache"]
+
+
+def test_parallel_map_opens_the_assigned_pool_class(monkeypatch):
+    # the benchmark replaces vsc.parallel.ProcessPoolExecutor with a pool that
+    # samples its workers; parallel_map must open whatever class sits there
+    import vsc.parallel
+
+    opened = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    assert vsc.parallel.ProcessPoolExecutor.__name__ == "ProcessPoolExecutor"
+    monkeypatch.setattr(vsc.parallel, "ProcessPoolExecutor", StubPool)
+    assert vsc.parallel.parallel_map(abs, [-1, 2, -3], workers=2) == [1, 2, 3]
+    assert opened == [2]
