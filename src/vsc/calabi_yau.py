@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 # graph_residue and parallel_map are unused here; perfbench/tracer.py wraps
 # them under this module's names.
@@ -72,13 +72,9 @@ def alternating_two_point_sum(k: int, d: int) -> Fraction:
     Generating function identity: 1 - sum_d of this times q^d is 1/Ltilde_0.
     """
     _check_cy(k)
-    out = Fraction(0)
-    for comp in ordered_partitions(d):
-        term = Fraction((-1) ** (len(comp) - 1))
-        for dj in comp:
-            term *= Fraction(factorial(k * dj), factorial(dj) ** k)
-        out += term
-    return out
+    c = [factorial(k * j) // factorial(j) ** k for j in range(d + 1)]
+    return Fraction(sum((-1) ** (len(comp) - 1) * prod(c[dj] for dj in comp)
+                        for comp in ordered_partitions(d)))
 
 
 def log_one_minus(k: int, q_cap: int) -> TruncatedSeries:
@@ -118,18 +114,24 @@ def family_series(k: int, q_cap: int, family: str, cache=None,
 
 
 def bcov_zinger_series(k: int, q_cap: int) -> TruncatedSeries:
-    """q-dependent part of the genus-1 potential in BCOV-Zinger form.
+    """q-dependent part of the genus-1 potential in BCOV-Zinger form."""
+    return _bcov_zinger(k, q_cap, {p: ltilde(k, p, q_cap).log()
+                                   for p in {0, *_loop_weights(k)}})
+
+
+def _bcov_zinger(k: int, q_cap: int,
+                 logs: dict[int, TruncatedSeries]) -> TruncatedSeries:
+    """The BCOV-Zinger form out of logs[p] = log Ltilde_p, p in {0, loop weights}.
 
     Odd k:  (chi/24) log Ltilde_0 - (k-1)/48 log(1-k^k q)
             - sum_{p=0}^{(k-3)/2} (k-1-2p)^2/8 log Ltilde_p.
     Even k: same leading term, then -(k-4)/48 log(1-k^k q)
             - sum_{p=0}^{(k-4)/2} (k-2p)(k-2p-2)/8 log Ltilde_p.
     """
-    X = _check_cy(k)
-    chi = X.euler_characteristic()
+    chi = _check_cy(k).euler_characteristic()
     log_coeff = Fraction(-(k - 1), 48) if k % 2 else Fraction(-(k - 4), 48)
-    return ltilde(k, 0, q_cap).log().scale(Fraction(chi, 24)) + \
-        log_one_minus(k, q_cap).scale(log_coeff) + _loop_log_sum(k, q_cap)
+    return logs[0].scale(Fraction(chi, 24)) + \
+        log_one_minus(k, q_cap).scale(log_coeff) + _loop_log_sum(k, q_cap, logs)
 
 
 def _loop_weights(k: int) -> dict[int, Fraction]:
@@ -140,11 +142,12 @@ def _loop_weights(k: int) -> dict[int, Fraction]:
             for p in range((k - 2) // 2)}
 
 
-def _loop_log_sum(k: int, q_cap: int) -> TruncatedSeries:
+def _loop_log_sum(k: int, q_cap: int,
+                  logs: dict[int, TruncatedSeries]) -> TruncatedSeries:
     # the weighted -log Ltilde_p sum of the loop side
     out = TruncatedSeries.zero(0, q_cap)
     for p, weight in _loop_weights(k).items():
-        out = out - ltilde(k, p, q_cap).log().scale(weight)
+        out = out - logs[p].scale(weight)
     return out
 
 
@@ -156,6 +159,7 @@ class CyReport:
     q_cap: int
     l0: TruncatedSeries
     l1: TruncatedSeries
+    log_l0: TruncatedSeries
     stars: TruncatedSeries
     loops: TruncatedSeries
     clusters: TruncatedSeries
@@ -163,10 +167,6 @@ class CyReport:
     lhs: TruncatedSeries  # loops + (k^2-1)/(24k) integral (+ even-k log piece)
     rhs: TruncatedSeries  # weighted -log Ltilde_p sum
     bcov: TruncatedSeries
-
-    @property
-    def log_l0(self) -> TruncatedSeries:
-        return self.l0.log()
 
     @property
     def log_l1(self) -> TruncatedSeries:
@@ -197,20 +197,21 @@ def cy_report(k: int, q_cap: int, cache=None, workers: int = 1) -> CyReport:
     _check_cy(k)
     # One planner call evaluates every residue chain of the report: the
     # genus-0 chains of each Ltilde_m read below land in elliptic.memo.
+    ps = {0, *_loop_weights(k)}
+    ms = sorted({1, *ps})
     chains = [(Genus0Chain(d, k - 2 - m, m - 1), ())
-              for m in sorted({0, 1, *_loop_weights(k)}) for d in range(1, q_cap + 1)]
+              for m in ms for d in range(1, q_cap + 1)]
     sums = _family_sums(k, q_cap, cache, workers, chains)
-    l0 = ltilde(k, 0, q_cap)
-    if l0 != ltilde_zero_closed(k, q_cap):
+    lt = {m: ltilde(k, m, q_cap) for m in ms}
+    if lt[0] != ltilde_zero_closed(k, q_cap):
         raise RuntimeError("Ltilde_0 differs from its closed form")
-    l1 = ltilde(k, 1, q_cap)
+    logs = {p: lt[p].log() for p in ps}
     lhs = sums["loop"] + dilog_integral(k, q_cap).scale(Fraction(k * k - 1, 24 * k))
     if k % 2 == 0:
         lhs = lhs + log_one_minus(k, q_cap).scale(Fraction(-1, 16))
-    rhs = _loop_log_sum(k, q_cap)
     return CyReport(
-        k=k, q_cap=q_cap, l0=l0, l1=l1,
+        k=k, q_cap=q_cap, l0=lt[0], l1=lt[1], log_l0=logs[0],
         stars=sums["star"], loops=sums["loop"], clusters=sums["cluster"],
         points=sums["point"],
-        lhs=lhs, rhs=rhs,
-        bcov=bcov_zinger_series(k, q_cap))
+        lhs=lhs, rhs=_loop_log_sum(k, q_cap, logs),
+        bcov=_bcov_zinger(k, q_cap, logs))

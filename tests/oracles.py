@@ -2,13 +2,14 @@
 
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, factorial
 
 from vsc import series
 from vsc.calabi_yau import cy_report, ltilde
 from vsc.chain import residue_chain
 from vsc.genus0 import _integrand, e_poly, midpoint, numerator, w_poly
-from vsc.graphs import ClusterStarGraph, LoopGraph, StarGraph, r_factor, sym_factor
+from vsc.graphs import (ClusterStarGraph, LoopGraph, StarGraph, ordered_partitions, r_factor,
+                        sym_factor)
 from vsc.hypersurface import Hypersurface, ins_key
 from vsc.pipeline import invert_corrections
 from vsc.poly import SparsePoly, linear_form
@@ -583,6 +584,21 @@ def p2_genus1(d: int) -> int:
     if e.denominator != 1:
         raise ValueError(f"E_{d} = {e} is not an integer")
     return e.numerator
+
+
+def alternating_two_point_sum_by_fractions(k: int, d: int) -> Fraction:
+    """sum over compositions (d_1..d_l) of d of (-1)^{l-1} prod (k d_j)!/(d_j!)^k.
+
+    Every term a Fraction and every factor rebuilt per part: a reference for
+    the integer sum of vsc.calabi_yau.alternating_two_point_sum.
+    """
+    out = Fraction(0)
+    for comp in ordered_partitions(d):
+        term = Fraction((-1) ** (len(comp) - 1))
+        for dj in comp:
+            term *= Fraction(factorial(k * dj), factorial(dj) ** k)
+        out += term
+    return out
 
 
 def quintic_gopakumar_vafa(q_cap: int) -> tuple[list[Fraction], list[Fraction]]:

@@ -14,6 +14,8 @@ from vsc.calabi_yau import (alternating_two_point_sum, bcov_zinger_series,
 from vsc.pipeline import mirror_corrections
 from vsc.series import TruncatedSeries
 
+from oracles import alternating_two_point_sum_by_fractions
+
 
 def test_ltilde_zero_matches_closed_form():
     assert ltilde(5, 0, 3) == ltilde_zero_closed(5, 3)
@@ -100,8 +102,46 @@ def test_family_series_uses_cache(tmp_path, empty_memo):
 
 
 def test_bcov_zinger_series_is_graph_sum():
-    r = cy_report(5, 2)
-    assert bcov_zinger_series(5, 2) == r.graph_sum
+    # both parities of the loop weights, one and two log Ltilde_p terms
+    for k in (3, 4, 5, 6):
+        r = cy_report(k, 3)
+        assert bcov_zinger_series(k, 3) == r.bcov == r.graph_sum
+        assert r.log_l0 == r.l0.log()
+
+
+@pytest.mark.parametrize("k", [4, 5, 7])
+def test_cy_report_builds_each_ltilde_and_log_once(monkeypatch, k):
+    # one report: Ltilde_m for m in {0, 1, loop weights}, log Ltilde_p for p
+    # in {0, loop weights}, each once
+    import vsc.calabi_yau as cy
+
+    ms, ps = {4: ([0, 1], [0]), 5: ([0, 1], [0, 1]), 7: ([0, 1, 2], [0, 1, 2])}[k]
+
+    built, logged = [], []
+
+    def counting_ltilde(k, m, q_cap):
+        built.append((m, ltilde(k, m, q_cap)))
+        return built[-1][1]
+
+    series_log = TruncatedSeries.log
+
+    def counting_log(self):
+        logged.append(next((m for m, s in built if s is self), None))
+        return series_log(self)
+
+    monkeypatch.setattr(cy, "ltilde", counting_ltilde)
+    monkeypatch.setattr(TruncatedSeries, "log", counting_log)
+    cy.cy_report(k, 3)
+    assert sorted(m for m, _ in built) == ms
+    assert sorted(logged) == ps
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_alternating_sum_matches_fraction_oracle(k):
+    for d in range(1, 7):
+        got = alternating_two_point_sum(k, d)
+        assert type(got) is Fraction
+        assert got == alternating_two_point_sum_by_fractions(k, d)
 
 
 def test_family_series_pool_matches_serial(empty_memo):
